@@ -6,7 +6,7 @@ a phase-quantised trellis search, an exhaustive oracle and a greedy baseline,
 plus a seeded Monte Carlo harness and a CLI for experiment reproduction.
 """
 
-from .baselines import SolverResult, best_singleton, brute_force_select, greedy_pgga_select
+from .baselines import best_singleton, brute_force_select, greedy_pgga_select
 from .channel import (
     ChannelMatrix,
     Point3,
@@ -29,7 +29,9 @@ from .harness import (
 )
 from .metric import (
     ActivationVector,
+    InvariantError,
     MetricReport,
+    SolverResult,
     accumulated_signal,
     maxmin_metric,
     rate_from_metric,
@@ -38,7 +40,6 @@ from .metric import (
 from .vss import (
     Survivor,
     TrellisStateId,
-    VssResult,
     VssTrace,
     quantize_phase,
     stage_expand,
@@ -51,6 +52,7 @@ __all__ = [
     "AggregateResult",
     "ChannelMatrix",
     "ExperimentSpec",
+    "InvariantError",
     "MetricReport",
     "Point3",
     "SolverResult",
@@ -59,7 +61,6 @@ __all__ = [
     "TrellisStateId",
     "TrialRecord",
     "UserPlacement",
-    "VssResult",
     "VssTrace",
     "accumulated_signal",
     "best_singleton",

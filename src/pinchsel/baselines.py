@@ -5,7 +5,9 @@ activation masks in Gray-code order so each step updates the accumulated
 signal with a single complex add or subtract, keeps a shortlist of
 near-maximal masks, and rescores the shortlist in canonical order at the end;
 the reported optimum is therefore immune to drift accumulated along the walk
-and directly comparable (bit-for-bit) with the trellis solver's output.
+and directly comparable (bit-for-bit) with the trellis solver's output. It
+refuses arrays larger than ``BRUTE_FORCE_CAP`` antennas. ``_brute_force_naive``
+rescores every subset from scratch; tests use it to validate the walk.
 
 ``greedy_pgga_select`` reconstructs a projection-guided forward-selection
 baseline: grow the active set from the best singleton, each round adding the
@@ -17,26 +19,17 @@ refinement trajectory by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
-from .metric import ActivationVector, accumulated_signal, maxmin_metric
+from .metric import ActivationVector, SolverResult, accumulated_signal, maxmin_metric
 
 BRUTE_FORCE_CAP = 22
 
 # Relative slack used to shortlist near-maximal masks during the Gray walk;
 # generously wider than any drift the incremental updates can accumulate.
 _SHORTLIST_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SolverResult:
-    activation: ActivationVector
-    metric: float
-    evaluations: int
-    solver_name: str
 
 
 def _mask_to_activation(mask: int, n_antennas: int) -> ActivationVector:
@@ -49,27 +42,15 @@ def _tie_key(metric: float, activation: ActivationVector) -> tuple:
     return (-metric, activation.active_count, activation.mask)
 
 
-def brute_force_select(
-    B: "ChannelMatrix | np.ndarray",
-    max_antennas: int = BRUTE_FORCE_CAP,
-    method: str = "gray",
-) -> SolverResult:
-    """Enumerate every non-empty activation and return the max-min optimum.
-
-    ``method="gray"`` is the fast incremental walk; ``method="naive"``
-    rescores every subset from scratch and exists to validate the walk.
-    """
+def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
+    """Enumerate every non-empty activation and return the max-min optimum."""
     gains = as_gains(B)
     n_users, n_antennas = gains.shape
-    if n_antennas > max_antennas:
+    if n_antennas > BRUTE_FORCE_CAP:
         raise ValueError(
             f"refusing exhaustive search over {n_antennas} antennas "
-            f"(cap is {max_antennas}): 2^N subsets"
+            f"(cap is {BRUTE_FORCE_CAP}): 2^N subsets"
         )
-    if method == "naive":
-        return _brute_force_naive(gains, n_antennas)
-    if method != "gray":
-        raise ValueError(f"unknown method {method!r}")
 
     cols = [tuple(gains[:, j].tolist()) for j in range(n_antennas)]
     z = [0j] * n_users
@@ -114,15 +95,12 @@ def brute_force_select(
         activation = _mask_to_activation(mask, n_antennas)
         candidates.append((maxmin_metric(gains, activation), activation))
     metric, activation = min(candidates, key=lambda c: _tie_key(c[0], c[1]))
-    return SolverResult(
-        activation=activation,
-        metric=metric,
-        evaluations=(1 << n_antennas) - 1,
-        solver_name="brute_force",
-    )
+    return SolverResult(activation, metric, (1 << n_antennas) - 1)
 
 
-def _brute_force_naive(gains: np.ndarray, n_antennas: int) -> SolverResult:
+def _brute_force_naive(B: "ChannelMatrix | np.ndarray") -> SolverResult:
+    gains = as_gains(B)
+    n_antennas = gains.shape[1]
     best: tuple | None = None
     for mask in range(1, 1 << n_antennas):
         activation = _mask_to_activation(mask, n_antennas)
@@ -131,12 +109,7 @@ def _brute_force_naive(gains: np.ndarray, n_antennas: int) -> SolverResult:
         if best is None or key < best[0]:
             best = (key, metric, activation)
     assert best is not None
-    return SolverResult(
-        activation=best[2],
-        metric=best[1],
-        evaluations=(1 << n_antennas) - 1,
-        solver_name="brute_force",
-    )
+    return SolverResult(best[2], best[1], (1 << n_antennas) - 1)
 
 
 def best_singleton(B: "ChannelMatrix | np.ndarray") -> SolverResult:
@@ -151,10 +124,7 @@ def best_singleton(B: "ChannelMatrix | np.ndarray") -> SolverResult:
             best_metric = metric
             best_index = n
     return SolverResult(
-        activation=ActivationVector.singleton(n_antennas, best_index),
-        metric=best_metric,
-        evaluations=n_antennas,
-        solver_name="best_singleton",
+        ActivationVector.singleton(n_antennas, best_index), best_metric, n_antennas
     )
 
 
@@ -197,9 +167,4 @@ def greedy_pgga_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
         metric = candidate_metric
         z = accumulated_signal(gains, activation)
 
-    return SolverResult(
-        activation=activation,
-        metric=metric,
-        evaluations=evaluations,
-        solver_name="pgga",
-    )
+    return SolverResult(activation, metric, evaluations)

@@ -5,7 +5,8 @@ effective configuration, then ``x y`` rows with 6 significant digits) so they
 drop straight into gnuplot/pgfplots/matplotlib. A CSV sidecar carries full
 diagnostics at full float precision.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 verification failure.
+Exit codes: 0 success, 1 usage/configuration error, 2 verification failure
+or a solver invariant violated during a run.
 """
 
 from __future__ import annotations
@@ -18,17 +19,12 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import SystemConfig, dbm_to_watts
-from .harness import ExperimentSpec, run_convergence, run_sweep
+from .harness import SOLVERS, ExperimentSpec, run_convergence, run_sweep
+from .metric import InvariantError
 from .verify import run_checks
 
-_SOLVER_ALIASES = {
-    "vss": "vss",
-    "brute": "brute_force",
-    "brute_force": "brute_force",
-    "pgga": "pgga",
-    "singleton": "best_singleton",
-    "best_singleton": "best_singleton",
-}
+# Short CLI names for solvers; canonical ``SOLVERS`` names are accepted too.
+_SHORT_NAMES = {"brute": "brute_force", "singleton": "best_singleton"}
 
 _DEFAULTS = {
     "users": 1,
@@ -74,11 +70,10 @@ def parse_solvers(text: str) -> tuple[str, ...]:
     names = []
     for token in text.split(","):
         token = token.strip().lower()
-        if token not in _SOLVER_ALIASES:
-            raise ValueError(
-                f"unknown solver {token!r}; choose from {sorted(_SOLVER_ALIASES)}"
-            )
-        canonical = _SOLVER_ALIASES[token]
+        canonical = _SHORT_NAMES.get(token, token)
+        if canonical not in SOLVERS:
+            choices = sorted({*SOLVERS, *_SHORT_NAMES})
+            raise ValueError(f"unknown solver {token!r}; choose from {choices}")
         if canonical not in names:
             names.append(canonical)
     if not names:
@@ -146,6 +141,10 @@ def read_config_file(path: Path) -> dict[str, str]:
     return entries
 
 
+def _feed_x(text: str) -> float | None:
+    return None if text.strip().lower() == "auto" else float(text)
+
+
 _CONVERTERS = {
     "n": str,
     "users": int,
@@ -159,7 +158,7 @@ _CONVERTERS = {
     "height": float,
     "freq_ghz": float,
     "neff": float,
-    "feed_x": float,
+    "feed_x": _feed_x,
     "out_dir": str,
     "format": str,
 }
@@ -370,6 +369,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

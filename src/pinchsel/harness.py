@@ -3,25 +3,35 @@
 Per-trial seeds are derived by mixing (master seed, antenna count, trial
 index) through splitmix64, so a trial's user placement never depends on which
 solvers are requested or on the order the antenna counts are swept.
+The seed ignores the user count, so runs that differ only in M share user 0's
+placement and are paired comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .baselines import (
     BRUTE_FORCE_CAP,
-    SolverResult,
     best_singleton,
     brute_force_select,
     greedy_pgga_select,
 )
-from .channel import build_channel_matrix, sample_users
+from .channel import ChannelMatrix, build_channel_matrix, sample_users
 from .config import SystemConfig
-from .metric import rate_from_metric
+from .metric import InvariantError, SolverResult, rate_from_metric
 from .vss import vss_select
 
-SOLVER_NAMES = ("vss", "brute_force", "pgga", "best_singleton")
+# Every solver by canonical name. Each entry resolves its function through
+# this module's globals at call time, so rebinding e.g. ``harness.vss_select``
+# (tracing, fault injection) reaches the trials.
+SOLVERS: dict[str, Callable[[ChannelMatrix], SolverResult]] = {
+    "vss": lambda B: vss_select(B, B.config_snapshot.phase_bins),
+    "brute_force": lambda B: brute_force_select(B),
+    "pgga": lambda B: greedy_pgga_select(B),
+    "best_singleton": lambda B: best_singleton(B),
+}
 
 _MASK64 = (1 << 64) - 1
 
@@ -47,7 +57,6 @@ class ExperimentSpec:
     solvers: tuple[str, ...]
     n_trials: int
     seed: int
-    brute_force_cap: int = BRUTE_FORCE_CAP
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
@@ -56,33 +65,19 @@ class ExperimentSpec:
             raise ValueError("n_values must be non-empty")
         if any(n < 1 for n in self.n_values):
             raise ValueError(f"antenna counts must be >= 1, got {self.n_values}")
-        unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
+        unknown = [s for s in self.solvers if s not in SOLVERS]
         if unknown:
-            raise ValueError(f"unknown solvers {unknown}; choose from {SOLVER_NAMES}")
+            raise ValueError(f"unknown solvers {unknown}; choose from {tuple(SOLVERS)}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
         if "brute_force" in self.solvers:
-            over = [n for n in self.n_values if n > self.brute_force_cap]
+            over = [n for n in self.n_values if n > BRUTE_FORCE_CAP]
             if over:
                 raise ValueError(
-                    f"brute force requested for N={over} beyond cap {self.brute_force_cap}"
+                    f"brute force requested for N={over} beyond cap {BRUTE_FORCE_CAP}"
                 )
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "solvers", tuple(self.solvers))
-
-
-@dataclass(frozen=True)
-class SolverTrial:
-    """One solver's outcome on one channel instance."""
-
-    solver: str
-    min_rate: float
-    metric: float
-    active_count: int
-    evaluations: int
-    termination_stage: int | None = None
-    best_stage: int | None = None
-    running_best: tuple[float, ...] | None = None  # metric units, per stage
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,7 @@ class TrialRecord:
     trial_index: int
     n_antennas: int
     seed: int
-    results: dict[str, SolverTrial] = field(default_factory=dict)
+    results: dict[str, SolverResult] = field(default_factory=dict)
 
 
 def run_trial(
@@ -98,68 +93,35 @@ def run_trial(
     seed: int,
     solvers: tuple[str, ...],
     trial_index: int = 0,
-    brute_force_cap: int = BRUTE_FORCE_CAP,
 ) -> TrialRecord:
     """Sample one placement, build the channel once, run every solver on it."""
     users = sample_users(seed, config)
     B = build_channel_matrix(config, users)
-    n_bins = config.phase_bins
-    results: dict[str, SolverTrial] = {}
-
-    for solver in solvers:
-        if solver == "vss":
-            res = vss_select(B, n_bins)
-            bound = (n_bins**config.n_users) * config.n_antennas**2
-            if res.trace.metric_evaluations > bound:
-                raise AssertionError(
-                    f"trellis evaluations {res.trace.metric_evaluations} exceed "
-                    f"the Q^M N^2 bound {bound}"
-                )
-            results[solver] = SolverTrial(
-                solver=solver,
-                min_rate=rate_from_metric(config, res.best_metric),
-                metric=res.best_metric,
-                active_count=res.best_activation.active_count,
-                evaluations=res.trace.metric_evaluations,
-                termination_stage=res.trace.termination_stage,
-                best_stage=res.trace.best_stage,
-                running_best=res.trace.running_best,
-            )
-        else:
-            if solver == "brute_force":
-                sres: SolverResult = brute_force_select(B, max_antennas=brute_force_cap)
-            elif solver == "pgga":
-                sres = greedy_pgga_select(B)
-            elif solver == "best_singleton":
-                sres = best_singleton(B)
-            else:
-                raise ValueError(f"unknown solver {solver!r}")
-            results[solver] = SolverTrial(
-                solver=solver,
-                min_rate=rate_from_metric(config, sres.metric),
-                metric=sres.metric,
-                active_count=sres.activation.active_count,
-                evaluations=sres.evaluations,
-            )
-
-    _check_ordering(results)
+    results = {solver: SOLVERS[solver](B) for solver in solvers}
+    _check_invariants(config, results)
     return TrialRecord(
         trial_index=trial_index, n_antennas=config.n_antennas, seed=seed, results=results
     )
 
 
-def _check_ordering(results: dict[str, SolverTrial]) -> None:
+def _check_invariants(config: SystemConfig, results: dict[str, SolverResult]) -> None:
     brute = results.get("brute_force")
     vss = results.get("vss")
     single = results.get("best_singleton")
+    if vss:
+        bound = (config.phase_bins**config.n_users) * config.n_antennas**2
+        if vss.evaluations > bound:
+            raise InvariantError(
+                f"trellis evaluations {vss.evaluations} exceed the Q^M N^2 bound {bound}"
+            )
     if brute and vss and vss.metric > brute.metric:
-        raise AssertionError(
+        raise InvariantError(
             f"trellis metric {vss.metric} exceeds exhaustive optimum {brute.metric}"
         )
     if brute and single and single.metric > brute.metric:
-        raise AssertionError("singleton metric exceeds exhaustive optimum")
+        raise InvariantError("singleton metric exceeds exhaustive optimum")
     if vss and single and single.metric > vss.metric:
-        raise AssertionError(
+        raise InvariantError(
             f"singleton metric {single.metric} exceeds trellis metric {vss.metric}"
         )
 
@@ -206,34 +168,30 @@ def run_sweep(spec: ExperimentSpec) -> AggregateResult:
     for n in spec.n_values:
         config = spec.base_config.with_antennas(n)
         records = [
-            run_trial(
-                config,
-                derive_seed(spec.seed, n, t),
-                spec.solvers,
-                trial_index=t,
-                brute_force_cap=spec.brute_force_cap,
-            )
+            run_trial(config, derive_seed(spec.seed, n, t), spec.solvers, trial_index=t)
             for t in range(spec.n_trials)
         ]
         for solver in spec.solvers:
             trials = [r.results[solver] for r in records]
+            rates = [rate_from_metric(config, t.metric) for t in trials]
             k = len(trials)
             term = None
             curve = None
-            if solver == "vss":
-                term = sum(t.termination_stage for t in trials) / k
+            if trials[0].trace is not None:
+                traces = [t.trace for t in trials]
+                term = sum(t.termination_stage for t in traces) / k
                 # stage curve: mean running-best metric per stage, converted
                 # to a rate (the curve the convergence plots report)
-                mean_metrics = mean_stage_curve([t.running_best for t in trials])
+                mean_metrics = mean_stage_curve([t.running_best for t in traces])
                 curve = tuple(rate_from_metric(config, m) for m in mean_metrics)
             entries.append(
                 SolverAggregate(
                     n_antennas=n,
                     solver=solver,
-                    mean_min_rate=sum(t.min_rate for t in trials) / k,
+                    mean_min_rate=sum(rates) / k,
                     mean_metric=sum(t.metric for t in trials) / k,
                     mean_evaluations=sum(t.evaluations for t in trials) / k,
-                    mean_active_count=sum(t.active_count for t in trials) / k,
+                    mean_active_count=sum(t.activation.active_count for t in trials) / k,
                     mean_termination_stage=term,
                     stage_rates=curve,
                 )

@@ -6,19 +6,27 @@ The solvers all maximise the scale-free quantity
 
 which orders activations identically to the worst-user rate: transmit power,
 path-loss scale and noise enter only as a positive multiplier inside
-log2(1 + x). Rates are attached at reporting time via :func:`rate_report`.
+log2(1 + x). Rates are attached at reporting time via :func:`rate_from_metric`
+or :func:`rate_report`. Every solver returns a :class:`SolverResult`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
 from .config import SystemConfig
+
+if TYPE_CHECKING:
+    from .vss import VssTrace
+
+
+class InvariantError(RuntimeError):
+    """A solver result broke a guaranteed ordering, bound or consistency check."""
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,16 @@ class ActivationVector:
     @classmethod
     def all_on(cls, n_antennas: int) -> "ActivationVector":
         return cls((1,) * n_antennas)
+
+
+@dataclass(frozen=True)
+class SolverResult:
+    """One solver's answer on one channel; only the trellis sets ``trace``."""
+
+    activation: ActivationVector
+    metric: float
+    evaluations: int
+    trace: "VssTrace | None" = None
 
 
 @dataclass(frozen=True)

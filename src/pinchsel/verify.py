@@ -87,7 +87,8 @@ def _oracle_batch(
             never_exceeds = False
         if math.isclose(v.metric, b.metric, rel_tol=1e-9):
             matches += 1
-        gap_sum += b.min_rate - v.min_rate
+        b_rate, v_rate = (rate_from_metric(config, r.metric) for r in (b, v))
+        gap_sum += b_rate - v_rate
         if b.metric > 0:
             max_rel_gap = max(max_rel_gap, (b.metric - v.metric) / b.metric)
         evals.append(v.evaluations)
@@ -163,14 +164,14 @@ def check_trellis_invariants(quick: bool, seed: int) -> CheckResult:
             problems.append("non-deterministic trellis result")
         brute = brute_force_select(gains)
         single = best_singleton(gains)
-        if not (brute.metric >= res1.best_metric >= single.metric):
+        if not (brute.metric >= res1.metric >= single.metric):
             problems.append(
                 f"ordering violated: brute {brute.metric}, "
-                f"vss {res1.best_metric}, singleton {single.metric}"
+                f"vss {res1.metric}, singleton {single.metric}"
             )
         if list(res1.trace.running_best) != sorted(res1.trace.running_best):
             problems.append("running best not non-decreasing")
-        if res1.best_metric != res1.trace.running_best[-1]:
+        if res1.metric != res1.trace.running_best[-1]:
             problems.append("best metric differs from final running best")
         if problems:
             break

@@ -21,14 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
-from .metric import ActivationVector, accumulated_signal, metric_from_accumulated
-
-Quantizer = Callable[[float, int], int]
+from .metric import (
+    ActivationVector,
+    InvariantError,
+    SolverResult,
+    accumulated_signal,
+    metric_from_accumulated,
+)
 
 
 def quantize_phase(phi: float, n_bins: int) -> int:
@@ -53,15 +57,10 @@ class TrellisStateId:
     bins: tuple[int, ...]
 
 
-def state_of(
-    accumulated: Sequence[complex],
-    n_bins: int,
-    quantizer: Quantizer | None = None,
-) -> TrellisStateId:
+def state_of(accumulated: Sequence[complex], n_bins: int) -> TrellisStateId:
     """Bucket an accumulated-signal vector; a zero signal counts as phase 0."""
-    quant = quantizer if quantizer is not None else quantize_phase
     return TrellisStateId(
-        tuple(quant(math.atan2(z.imag, z.real), n_bins) for z in accumulated)
+        tuple(quantize_phase(math.atan2(z.imag, z.real), n_bins) for z in accumulated)
     )
 
 
@@ -87,13 +86,6 @@ class VssTrace:
     survivors_per_stage: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VssResult:
-    best_activation: ActivationVector
-    best_metric: float
-    trace: VssTrace
-
-
 SurvivorTable = dict[TrellisStateId, Survivor]
 
 
@@ -102,22 +94,17 @@ class _Context:
     gains: np.ndarray
     cols: tuple[tuple[complex, ...], ...]  # per antenna, per user
     n_bins: int
-    quantizer: Quantizer
     verify_incremental: bool
 
 
 def _make_context(
-    B: "ChannelMatrix | np.ndarray",
-    n_bins: int,
-    quantizer: Quantizer | None,
-    verify_incremental: bool,
+    B: "ChannelMatrix | np.ndarray", n_bins: int, verify_incremental: bool
 ) -> _Context:
     gains = as_gains(B)
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     cols = tuple(tuple(gains[:, j].tolist()) for j in range(gains.shape[1]))
-    quant = quantizer if quantizer is not None else quantize_phase
-    return _Context(gains, cols, n_bins, quant, verify_incremental)
+    return _Context(gains, cols, n_bins, verify_incremental)
 
 
 def _expand(table: SurvivorTable, ctx: _Context) -> tuple[SurvivorTable, int]:
@@ -130,7 +117,7 @@ def _expand(table: SurvivorTable, ctx: _Context) -> tuple[SurvivorTable, int]:
         TrellisStateId,
         tuple[float, TrellisStateId, Survivor, int, list[complex]],
     ] = {}
-    quant = ctx.quantizer
+    quant = quantize_phase  # looked up per call, so a rebinding takes effect
     n_bins = ctx.n_bins
     for antenna, col in enumerate(ctx.cols):
         for parent_key, parent in parents:
@@ -167,7 +154,7 @@ def _expand(table: SurvivorTable, ctx: _Context) -> tuple[SurvivorTable, int]:
         if ctx.verify_incremental:
             for zi, zc in zip(z_inc, z_canon.tolist()):
                 if abs(zi - zc) > 1e-10 * (1.0 + abs(zc)):
-                    raise AssertionError(
+                    raise InvariantError(
                         f"incremental/canonical accumulated-signal mismatch: {zi} vs {zc}"
                     )
         survivor = Survivor(
@@ -177,17 +164,15 @@ def _expand(table: SurvivorTable, ctx: _Context) -> tuple[SurvivorTable, int]:
             stage=parent.stage + 1,
             parent=(parent.stage, parent_key),
         )
-        slot = state_of(survivor.accumulated, n_bins, quant)
+        slot = state_of(survivor.accumulated, n_bins)
         incumbent_s = new_table.get(slot)
         if incumbent_s is None or survivor.metric > incumbent_s.metric:
             new_table[slot] = survivor
     return new_table, evaluations
 
 
-def root_table(n_antennas: int, n_users: int, n_bins: int,
-               quantizer: Quantizer | None = None) -> SurvivorTable:
+def root_table(n_antennas: int, n_users: int, n_bins: int) -> SurvivorTable:
     """Stage-0 table: the empty activation as a pure phase reference."""
-    quant = quantizer if quantizer is not None else quantize_phase
     root = Survivor(
         activation=ActivationVector((0,) * n_antennas),
         accumulated=(0j,) * n_users,
@@ -195,20 +180,19 @@ def root_table(n_antennas: int, n_users: int, n_bins: int,
         stage=0,
         parent=None,
     )
-    return {TrellisStateId((quant(0.0, n_bins),) * n_users): root}
+    return {TrellisStateId((quantize_phase(0.0, n_bins),) * n_users): root}
 
 
 def stage_expand(
     survivors: SurvivorTable,
     B: "ChannelMatrix | np.ndarray",
     n_bins: int,
-    quantizer: Quantizer | None = None,
     verify_incremental: bool = False,
 ) -> SurvivorTable:
     """Expand one stage's survivor table into the next stage's (test hook)."""
     if not survivors:
         raise ValueError("survivor table must be non-empty")
-    ctx = _make_context(B, n_bins, quantizer, verify_incremental)
+    ctx = _make_context(B, n_bins, verify_incremental)
     table, _ = _expand(survivors, ctx)
     return table
 
@@ -216,9 +200,8 @@ def stage_expand(
 def vss_select(
     B: "ChannelMatrix | np.ndarray",
     n_bins: int | None = None,
-    quantizer: Quantizer | None = None,
     verify_incremental: bool = False,
-) -> VssResult:
+) -> SolverResult:
     """Run the trellis search and return the best survivor across all stages.
 
     ``n_bins`` defaults to the channel's configured phase-bin count when a
@@ -229,10 +212,10 @@ def vss_select(
             n_bins = B.config_snapshot.phase_bins
         else:
             raise ValueError("n_bins is required when B is a bare gain array")
-    ctx = _make_context(B, n_bins, quantizer, verify_incremental)
+    ctx = _make_context(B, n_bins, verify_incremental)
     n_users, n_antennas = ctx.gains.shape
 
-    table = root_table(n_antennas, n_users, n_bins, ctx.quantizer)
+    table = root_table(n_antennas, n_users, n_bins)
     evaluations = 0
     running_best: list[float] = []
     survivors_per_stage: list[int] = []
@@ -262,4 +245,4 @@ def vss_select(
         metric_evaluations=evaluations,
         survivors_per_stage=tuple(survivors_per_stage),
     )
-    return VssResult(best_activation=best.activation, best_metric=best.metric, trace=trace)
+    return SolverResult(best.activation, best.metric, evaluations, trace)

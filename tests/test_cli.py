@@ -1,11 +1,13 @@
 """CLI contract tests: flag parsing, file emission, verify exit codes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import pinchsel.vss
+from pinchsel import harness
 from pinchsel.cli import main, parse_n_values, parse_solvers, read_sweep_summary
 from pinchsel.config import SystemConfig, dbm_to_watts, watts_to_dbm
 from pinchsel.harness import ExperimentSpec, run_sweep
@@ -183,6 +185,16 @@ class TestConfigFile:
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    def test_feed_x_auto_means_default(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("n = 4\ntrials = 1\nfeed_x = Auto\n")
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", "--config", str(cfg_file), "--out-dir", str(out_a)]) == 0
+        assert main(["sweep", "--n", "4", "--trials", "1", "--out-dir", str(out_b)]) == 0
+        auto_dat = (out_a / "vss_rate_vs_N.dat").read_bytes()
+        assert auto_dat == (out_b / "vss_rate_vs_N.dat").read_bytes()
+        assert b"feed_x=auto" in auto_dat
+
 
 class TestVerifyCommand:
     def test_quick_verify_passes(self, capsys):
@@ -200,3 +212,25 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 2
         assert "[FAIL]" in out
+
+
+def test_invariant_violation_exits_two(monkeypatch, capsys, tmp_path):
+    # rebinding the module global must reach run_trial, whose ordering check
+    # then fails: a singleton can never beat the trellis
+    real = harness.best_singleton
+
+    def inflated(B):
+        res = real(B)
+        return dataclasses.replace(res, metric=math.inf)
+
+    monkeypatch.setattr(harness, "best_singleton", inflated)
+    rc = main(
+        [
+            "sweep", "--n", "5", "--solvers", "vss,singleton", "--trials", "1",
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "exceeds trellis metric" in err
+    assert "Traceback" not in err

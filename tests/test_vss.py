@@ -87,35 +87,32 @@ class TestStateOf:
     def test_zero_signal_convention(self):
         assert state_of([0j], 4) == TrellisStateId((2,))
 
-    def test_custom_quantizer_injected(self):
-        assert state_of([1j], 4, quantizer=lambda phi, q: 0) == TrellisStateId((0,))
-
 
 class TestVssSelect:
     def test_single_antenna(self):
         B = np.array([[0.4 + 0.3j]])
         res = vss_select(B, 4)
-        assert res.best_activation.mask == (1,)
-        assert res.best_metric == pytest.approx(0.25, rel=1e-12)
+        assert res.activation.mask == (1,)
+        assert res.metric == pytest.approx(0.25, rel=1e-12)
         assert res.trace.termination_stage == 1
         assert res.trace.best_stage == 1
 
     def test_opposite_pair_keeps_singleton(self):
         res = vss_select(np.array([[1.0 + 0j, -1.0 + 0j]]), 4)
-        assert res.best_metric == 1.0
-        assert res.best_activation.active_count == 1
+        assert res.metric == 1.0
+        assert res.activation.active_count == 1
 
     def test_seeded_single_user_matches_brute_force(self):
         cfg = SystemConfig(n_antennas=10, n_users=1)
         B = build_channel_matrix(cfg, sample_users(314, cfg))
         res = vss_select(B, 4)
-        assert res.best_metric == brute_force_select(B).metric
+        assert res.metric == brute_force_select(B).metric
 
     def test_seeded_two_user_bounded_by_brute_force(self):
         cfg = SystemConfig(n_antennas=8, n_users=2)
         B = build_channel_matrix(cfg, sample_users(2718, cfg))
         res = vss_select(B, 4)
-        assert res.best_metric <= brute_force_select(B).metric
+        assert res.metric <= brute_force_select(B).metric
 
     def test_n_bins_from_config(self):
         cfg = SystemConfig(n_antennas=6, n_users=1, phase_bins=2)
@@ -137,7 +134,7 @@ class TestVssSelect:
     def test_incremental_consistency_flag(self):
         B = _random_gains(10, 2, 10)
         res = vss_select(B, 4, verify_incremental=True)
-        assert res.best_metric > 0
+        assert res.metric > 0
 
 
 class TestStageExpand:
@@ -224,8 +221,8 @@ class TestTrellisInvariants:
         for seed in range(15):
             gains = _random_gains(1000 + seed, 2, 9)
             res = vss_select(gains, 4)
-            assert res.best_metric >= best_singleton(gains).metric
-            assert res.best_metric <= brute_force_select(gains).metric
+            assert res.metric >= best_singleton(gains).metric
+            assert res.metric <= brute_force_select(gains).metric
 
     def test_trace_contract(self):
         cfg = SystemConfig(n_antennas=14, n_users=1)
@@ -233,9 +230,9 @@ class TestTrellisInvariants:
         res = vss_select(B, 4)
         trace = res.trace
         assert list(trace.running_best) == sorted(trace.running_best)
-        assert trace.running_best[-1] == res.best_metric
+        assert trace.running_best[-1] == res.metric
         assert trace.best_stage <= trace.termination_stage <= 14
-        assert trace.best_stage == res.best_activation.active_count
+        assert trace.best_stage == res.activation.active_count
         assert len(trace.running_best) == trace.termination_stage
         assert len(trace.survivors_per_stage) == trace.termination_stage
         assert trace.metric_evaluations <= 4 * 14**2
@@ -260,5 +257,5 @@ class TestTrellisInvariants:
         for t in range(200):
             B = build_channel_matrix(cfg, sample_users(60000 + t, cfg))
             for q in totals:
-                totals[q] += vss_select(B, q).best_metric
+                totals[q] += vss_select(B, q).metric
         assert totals[4] >= totals[1]
