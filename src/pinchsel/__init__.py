@@ -37,15 +37,7 @@ from .metric import (
     rate_from_metric,
     rate_report,
 )
-from .vss import (
-    Survivor,
-    TrellisStateId,
-    VssTrace,
-    quantize_phase,
-    stage_expand,
-    state_of,
-    vss_select,
-)
+from .vss import Stage, VssTrace, quantize_phase, stage_expand, vss_select
 
 __all__ = [
     "ActivationVector",
@@ -56,9 +48,8 @@ __all__ = [
     "MetricReport",
     "Point3",
     "SolverResult",
-    "Survivor",
+    "Stage",
     "SystemConfig",
-    "TrellisStateId",
     "TrialRecord",
     "UserPlacement",
     "VssTrace",
@@ -80,7 +71,6 @@ __all__ = [
     "run_trial",
     "sample_users",
     "stage_expand",
-    "state_of",
     "vss_select",
     "waveguide_phase",
     "watts_to_dbm",

@@ -1,15 +1,17 @@
 """Self-check battery behind the ``verify`` CLI subcommand.
 
 Each check returns a pass/fail result with a one-line detail string; the CLI
-prints them and exits nonzero if any check fails. The trellis solver is
-exercised against the exhaustive oracle, against structural invariants of the
-survivor tables, and against its own evaluation-count bound.
+prints them and exits nonzero if any check fails. A solver invariant broken
+inside a check fails that check and the battery goes on. The trellis solver
+is exercised against the exhaustive oracle, against structural invariants of
+its stages, and against its own evaluation-count bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -17,8 +19,14 @@ from . import vss as vss_mod
 from .baselines import best_singleton, brute_force_select
 from .config import SystemConfig
 from .harness import derive_seed, run_trial
-from .metric import rate_from_metric
-from .vss import root_table, stage_expand, vss_select
+from .metric import (
+    ActivationVector,
+    InvariantError,
+    accumulated_signal,
+    maxmin_metric,
+    rate_from_metric,
+)
+from .vss import Stage, bucket_codes, root_stage, stage_expand, vss_select
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,7 @@ def _interval_bin_oracle(phi: float, n_bins: int) -> int:
     return n_bins - 1
 
 
-def check_quantizer_edges() -> CheckResult:
+def check_quantizer_edges(quick: bool, seed: int) -> tuple[bool, str]:
     quant = vss_mod.quantize_phase
     eps = 1e-9
     failures = 0
@@ -60,69 +68,50 @@ def check_quantizer_edges() -> CheckResult:
                 want = _interval_bin_oracle(phi + offset, n_bins)
                 if got != want or not 0 <= got < n_bins:
                     failures += 1
-    return CheckResult(
-        name="quantizer-edge-sweep",
-        passed=failures == 0,
-        detail=f"{cases - failures}/{cases} probe angles binned correctly",
-    )
+    return failures == 0, f"{cases - failures}/{cases} probe angles binned correctly"
 
 
 def _oracle_batch(
     n_antennas: int, n_users: int, n_trials: int, seed: int
-) -> tuple[int, float, float, bool, list[int]]:
-    """Return (exact matches, mean rate gap, max relative gap,
-    never_exceeds, vss evaluation counts) over a seeded batch."""
+) -> tuple[int, float, float]:
+    """Return (exact matches, mean rate gap, max relative gap) over a seeded
+    batch; ``run_trial`` raises if the trellis ever beats the oracle."""
     config = SystemConfig(n_antennas=n_antennas, n_users=n_users)
     matches = 0
     gap_sum = 0.0
     max_rel_gap = 0.0
-    never_exceeds = True
-    evals: list[int] = []
     for t in range(n_trials):
         rec = run_trial(
             config, derive_seed(seed, n_antennas, t), ("vss", "brute_force"), t
         )
         v, b = rec.results["vss"], rec.results["brute_force"]
-        if v.metric > b.metric:
-            never_exceeds = False
         if math.isclose(v.metric, b.metric, rel_tol=1e-9):
             matches += 1
         b_rate, v_rate = (rate_from_metric(config, r.metric) for r in (b, v))
         gap_sum += b_rate - v_rate
         if b.metric > 0:
             max_rel_gap = max(max_rel_gap, (b.metric - v.metric) / b.metric)
-        evals.append(v.evaluations)
-    return matches, gap_sum / n_trials, max_rel_gap, never_exceeds, evals
+    return matches, gap_sum / n_trials, max_rel_gap
 
 
-def check_oracle_single_user(quick: bool, seed: int) -> CheckResult:
+def check_oracle_single_user(quick: bool, seed: int) -> tuple[bool, str]:
     trials = 40 if quick else 200
-    matches, mean_gap, max_rel, never_exceeds, _ = _oracle_batch(12, 1, trials, seed)
+    matches, mean_gap, max_rel = _oracle_batch(12, 1, trials, seed)
     frac = matches / trials
-    ok = frac >= 0.95 and mean_gap <= 0.01 and never_exceeds
-    return CheckResult(
-        name="oracle-equivalence-single-user",
-        passed=ok,
-        detail=(
-            f"N=12 M=1: exact-match fraction {frac:.3f} (need >= 0.95), "
-            f"mean rate gap {mean_gap:.3e} bps/Hz (need <= 0.01), "
-            f"max relative metric gap {max_rel:.2e}"
-        ),
+    return frac >= 0.95 and mean_gap <= 0.01, (
+        f"N=12 M=1: exact-match fraction {frac:.3f} (need >= 0.95), "
+        f"mean rate gap {mean_gap:.3e} bps/Hz (need <= 0.01), "
+        f"max relative metric gap {max_rel:.2e}"
     )
 
 
-def check_oracle_multi_user(quick: bool, seed: int) -> CheckResult:
+def check_oracle_multi_user(quick: bool, seed: int) -> tuple[bool, str]:
     trials = 20 if quick else 100
-    matches, mean_gap, max_rel, never_exceeds, _ = _oracle_batch(10, 2, trials, seed)
-    ok = mean_gap <= 0.02 and never_exceeds
-    return CheckResult(
-        name="oracle-equivalence-multi-user",
-        passed=ok,
-        detail=(
-            f"N=10 M=2: mean worst-user rate gap {mean_gap:.3e} bps/Hz "
-            f"(need <= 0.02), never exceeds oracle: {never_exceeds}, "
-            f"exact matches {matches}/{trials}, max relative gap {max_rel:.2e}"
-        ),
+    matches, mean_gap, max_rel = _oracle_batch(10, 2, trials, seed)
+    return mean_gap <= 0.02, (
+        f"N=10 M=2: mean worst-user rate gap {mean_gap:.3e} bps/Hz "
+        f"(need <= 0.02), exact matches {matches}/{trials}, "
+        f"max relative gap {max_rel:.2e}"
     )
 
 
@@ -132,7 +121,34 @@ def _random_gains(rng: np.random.Generator, n_users: int, n_antennas: int) -> np
     )
 
 
-def check_trellis_invariants(quick: bool, seed: int) -> CheckResult:
+def stage_problems(prev: Stage, nxt: Stage, gains: np.ndarray, n_bins: int) -> list[str]:
+    """Every per-stage invariant that ``nxt``, expanded from ``prev``, breaks:
+    buckets unique, ascending and in [0, Q^M); metrics strictly above the
+    parent row's; each bucket that of the canonical signal of its mask; each
+    metric bit-identical to ``maxmin_metric``."""
+    n_buckets = n_bins ** gains.shape[0]
+    problems: list[str] = []
+    if len(nxt) > n_buckets:
+        problems.append(f"{len(nxt)} survivors for {n_buckets} buckets")
+    if np.any(np.diff(nxt.buckets) <= 0):
+        problems.append(f"buckets not strictly ascending: {nxt.buckets.tolist()}")
+    for mask, metric, bucket, parent in zip(
+        nxt.masks, nxt.metrics.tolist(), nxt.buckets.tolist(), nxt.parents.tolist()
+    ):
+        activation = ActivationVector(tuple(mask.tolist()))
+        if not 0 <= bucket < n_buckets:
+            problems.append(f"bucket {bucket} outside [0, {n_buckets})")
+        if not (0 <= parent < len(prev) and metric > prev.metrics[parent]):
+            problems.append("non-increasing metric along a path")
+        canonical = bucket_codes(accumulated_signal(gains, activation)[None, :], n_bins)
+        if bucket != canonical[0]:
+            problems.append(f"bucket {bucket} differs from its signal's {canonical[0]}")
+        if metric != maxmin_metric(gains, activation):
+            problems.append(f"metric {metric!r} differs from maxmin_metric")
+    return problems
+
+
+def check_trellis_invariants(quick: bool, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     instances = 30 if quick else 120
     problems: list[str] = []
@@ -142,21 +158,12 @@ def check_trellis_invariants(quick: bool, seed: int) -> CheckResult:
         n_bins = int(rng.choice([1, 2, 4, 8]))
         gains = _random_gains(rng, n_users, n_antennas)
 
-        # walk the trellis manually and validate table structure
-        table = root_table(n_antennas, n_users, n_bins)
-        while table:
-            nxt = stage_expand(table, gains, n_bins, verify_incremental=True)
-            for key, surv in nxt.items():
-                if not all(0 <= b < n_bins for b in key.bins):
-                    problems.append(f"state {key.bins} outside [0, {n_bins})")
-                parent = surv.parent
-                if parent is not None:
-                    parent_surv = table[parent[1]]
-                    if not surv.metric > parent_surv.metric:
-                        problems.append("non-increasing metric along a path")
-            if len(nxt) > n_bins**n_users:
-                problems.append("more survivors than states")
-            table = nxt
+        # walk the trellis manually and validate each stage
+        stage = root_stage(n_antennas, n_users, n_bins)
+        while len(stage):
+            nxt = stage_expand(stage, gains, n_bins, verify_incremental=True)
+            problems.extend(stage_problems(stage, nxt, gains, n_bins))
+            stage = nxt
 
         res1 = vss_select(gains, n_bins)
         res2 = vss_select(gains, n_bins)
@@ -175,19 +182,12 @@ def check_trellis_invariants(quick: bool, seed: int) -> CheckResult:
             problems.append("best metric differs from final running best")
         if problems:
             break
-    return CheckResult(
-        name="trellis-invariants",
-        passed=not problems,
-        detail=(
-            f"{instances} random instances clean"
-            if not problems
-            else f"violation: {problems[0]}"
-        ),
-    )
+    if problems:
+        return False, f"violation: {problems[0]}"
+    return True, f"{instances} random instances clean"
 
 
-def check_complexity_bound(quick: bool, seed: int) -> CheckResult:
-    violations = 0
+def check_complexity_bound(quick: bool, seed: int) -> tuple[bool, str]:
     runs = 0
     worst_ratio = 0.0
     for n_antennas, n_users, trials in ((12, 1, 10 if quick else 50),
@@ -199,9 +199,7 @@ def check_complexity_bound(quick: bool, seed: int) -> CheckResult:
             rec = run_trial(config, derive_seed(seed, n_antennas, t), ("vss",), t)
             evals = rec.results["vss"].evaluations
             runs += 1
-            worst_ratio = max(worst_ratio, evals / bound)
-            if evals > bound:
-                violations += 1
+            worst_ratio = max(worst_ratio, evals / bound)  # run_trial raises above 1
     # the N=20 trellis workload versus the 2^20 exhaustive enumeration
     config = SystemConfig(n_antennas=20, n_users=1)
     n20_evals = [
@@ -211,22 +209,28 @@ def check_complexity_bound(quick: bool, seed: int) -> CheckResult:
         for t in range(5 if quick else 20)
     ]
     share = max(n20_evals) / 2**20
-    ok = violations == 0 and share < 0.01
-    return CheckResult(
-        name="complexity-bound",
-        passed=ok,
-        detail=(
-            f"{runs} runs within Q^M N^2 (worst fill {worst_ratio:.1%}); "
-            f"N=20 trellis work is {share:.3%} of 2^20 (need < 1%)"
-        ),
+    return share < 0.01, (
+        f"{runs} runs within Q^M N^2 (worst fill {worst_ratio:.1%}); "
+        f"N=20 trellis work is {share:.3%} of 2^20 (need < 1%)"
     )
 
 
+_CHECKS: dict[str, Callable[[bool, int], tuple[bool, str]]] = {
+    "quantizer-edge-sweep": check_quantizer_edges,
+    "oracle-equivalence-single-user": check_oracle_single_user,
+    "oracle-equivalence-multi-user": check_oracle_multi_user,
+    "trellis-invariants": check_trellis_invariants,
+    "complexity-bound": check_complexity_bound,
+}
+
+
 def run_checks(quick: bool = False, seed: int = 7) -> list[CheckResult]:
-    return [
-        check_quantizer_edges(),
-        check_oracle_single_user(quick, seed),
-        check_oracle_multi_user(quick, seed),
-        check_trellis_invariants(quick, seed),
-        check_complexity_bound(quick, seed),
-    ]
+    """Run every check; an ``InvariantError`` raised inside one fails it."""
+    results = []
+    for name, check in _CHECKS.items():
+        try:
+            passed, detail = check(quick, seed)
+        except InvariantError as exc:
+            passed, detail = False, f"invariant violated: {exc}"
+        results.append(CheckResult(name, passed, detail))
+    return results

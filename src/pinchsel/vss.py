@@ -2,13 +2,16 @@
 
 Stage ``tau`` of the trellis holds activations with exactly ``tau`` active
 antennas. Each activation is bucketed by the quantised phases of its per-user
-accumulated signals (one bin index per user, ``n_bins ** n_users`` buckets),
-and only the best-metric activation per bucket survives a stage. Candidates
-are generated by switching on one additional antenna of a survivor, with the
-accumulated signal updated incrementally; a candidate is kept only if it
-strictly improves on the survivor it extends, so metrics increase strictly
-along every path and the search stops at the first stage with no accepted
-candidate. The answer is the best survivor across all explored stages.
+accumulated signals: the per-user bin indices, read as base-``n_bins`` digits
+with user 0 most significant, give one integer bucket in
+``[0, n_bins ** n_users)``. Only the best-metric activation per bucket
+survives a stage, and a stage is held as a :class:`Stage` of arrays with one
+row per surviving bucket. Candidates are generated by switching on one
+additional antenna of a survivor, with the accumulated signal updated
+incrementally; a candidate is kept only if it strictly improves on the
+survivor it extends, so metrics increase strictly along every path and the
+search stops at the first stage with no accepted candidate. The answer is the
+best survivor across all explored stages.
 
 Numerical note: accepted survivors have their accumulated signal and metric
 rebuilt in canonical (ascending antenna index) order at install time, so a
@@ -21,18 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
-from .metric import (
-    ActivationVector,
-    InvariantError,
-    SolverResult,
-    accumulated_signal,
-    metric_from_accumulated,
-)
+from .metric import ActivationVector, InvariantError, SolverResult
+
+# Cap on the (antennas x buckets x users) candidate block one stage may hold:
+# 2^24 complex entries is 256 MiB.
+MAX_BLOCK_ENTRIES = 2**24
 
 
 def quantize_phase(phi: float, n_bins: int) -> int:
@@ -50,29 +50,30 @@ def quantize_phase(phi: float, n_bins: int) -> int:
     return min(k, n_bins - 1)  # guard against frac*n_bins rounding up to n_bins
 
 
-@dataclass(frozen=True, order=True)
-class TrellisStateId:
-    """Per-user phase-bin indices identifying one trellis bucket."""
-
-    bins: tuple[int, ...]
-
-
-def state_of(accumulated: Sequence[complex], n_bins: int) -> TrellisStateId:
-    """Bucket an accumulated-signal vector; a zero signal counts as phase 0."""
-    return TrellisStateId(
-        tuple(quantize_phase(math.atan2(z.imag, z.real), n_bins) for z in accumulated)
-    )
+def bucket_codes(signals: np.ndarray, n_bins: int) -> np.ndarray:
+    """Bucket of each row of an (S, M) signal array; a zero signal counts as
+    phase 0. Binning is scalar ``math.atan2``, not ``np.arctan2``, which can
+    differ in the last bit at a bin edge."""
+    quant = quantize_phase  # looked up per call, so a rebinding takes effect
+    digits = np.array(
+        [quant(math.atan2(z.imag, z.real), n_bins) for z in signals.ravel().tolist()],
+        dtype=np.int64,
+    ).reshape(signals.shape)
+    return digits @ n_bins ** np.arange(signals.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class Survivor:
-    """Best activation found for one (stage, state) slot."""
+@dataclass(frozen=True, eq=False)
+class Stage:
+    """Survivors of one trellis stage, one row per bucket, ascending bucket."""
 
-    activation: ActivationVector
-    accumulated: tuple[complex, ...]
-    metric: float
-    stage: int
-    parent: tuple[int, TrellisStateId] | None
+    masks: np.ndarray  # (S, N) bool, active antennas
+    signals: np.ndarray  # (S, M) complex, canonical accumulated signal
+    metrics: np.ndarray  # (S,) float, bit-identical to maxmin_metric
+    buckets: np.ndarray  # (S,) int, bucket code of the canonical signal
+    parents: np.ndarray  # (S,) int, row in the previous stage (-1 at the root)
+
+    def __len__(self) -> int:
+        return len(self.metrics)
 
 
 @dataclass(frozen=True)
@@ -86,115 +87,72 @@ class VssTrace:
     survivors_per_stage: tuple[int, ...]
 
 
-SurvivorTable = dict[TrellisStateId, Survivor]
+def _best_per_bucket(buckets: np.ndarray, metrics: np.ndarray) -> np.ndarray:
+    """Index of the highest-metric row per bucket, ascending bucket; ties go to
+    the earliest row."""
+    order = np.lexsort((-metrics, buckets))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = buckets[order[1:]] != buckets[order[:-1]]
+    return order[first]
 
 
-@dataclass(frozen=True)
-class _Context:
-    gains: np.ndarray
-    cols: tuple[tuple[complex, ...], ...]  # per antenna, per user
-    n_bins: int
-    verify_incremental: bool
+def _worst_user_metric(signals: np.ndarray, active: int) -> np.ndarray:
+    """min over users of re*re + im*im, over the active count: the IEEE
+    operations of ``metric_from_accumulated``, so results are bit-identical."""
+    return (signals.real * signals.real + signals.imag * signals.imag).min(axis=-1) / active
 
 
-def _make_context(
-    B: "ChannelMatrix | np.ndarray", n_bins: int, verify_incremental: bool
-) -> _Context:
-    gains = as_gains(B)
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    cols = tuple(tuple(gains[:, j].tolist()) for j in range(gains.shape[1]))
-    return _Context(gains, cols, n_bins, verify_incremental)
-
-
-def _expand(table: SurvivorTable, ctx: _Context) -> tuple[SurvivorTable, int]:
-    """One transition round; returns the next stage's table and the number of
-    candidate metric evaluations performed (accepted or not)."""
-    parents = sorted(table.items())
-    evaluations = 0
-    # state -> (incremental metric, parent key, parent, antenna, incremental Z)
-    pending: dict[
-        TrellisStateId,
-        tuple[float, TrellisStateId, Survivor, int, list[complex]],
-    ] = {}
-    quant = quantize_phase  # looked up per call, so a rebinding takes effect
-    n_bins = ctx.n_bins
-    for antenna, col in enumerate(ctx.cols):
-        for parent_key, parent in parents:
-            if parent.activation.mask[antenna]:
-                continue
-            stage = parent.stage + 1
-            z_new: list[complex] = []
-            worst = math.inf
-            for z_old, b in zip(parent.accumulated, col):
-                z = z_old + b
-                z_new.append(z)
-                p = z.real * z.real + z.imag * z.imag
-                if p < worst:
-                    worst = p
-            evaluations += 1
-            cand_metric = worst / stage
-            if cand_metric <= parent.metric:  # strict improvement gate
-                continue
-            key = TrellisStateId(
-                tuple(quant(math.atan2(z.imag, z.real), n_bins) for z in z_new)
-            )
-            incumbent = pending.get(key)
-            if incumbent is None or cand_metric > incumbent[0]:
-                pending[key] = (cand_metric, parent_key, parent, antenna, z_new)
-
-    new_table: SurvivorTable = {}
-    for key in sorted(pending):
-        _, parent_key, parent, antenna, z_inc = pending[key]
-        activation = parent.activation.with_added(antenna)
-        z_canon = accumulated_signal(ctx.gains, activation)
-        metric = metric_from_accumulated(z_canon.tolist(), activation.active_count)
-        if metric <= parent.metric:  # re-check the gate on the canonical value
-            continue
-        if ctx.verify_incremental:
-            for zi, zc in zip(z_inc, z_canon.tolist()):
-                if abs(zi - zc) > 1e-10 * (1.0 + abs(zc)):
-                    raise InvariantError(
-                        f"incremental/canonical accumulated-signal mismatch: {zi} vs {zc}"
-                    )
-        survivor = Survivor(
-            activation=activation,
-            accumulated=tuple(z_canon.tolist()),
-            metric=metric,
-            stage=parent.stage + 1,
-            parent=(parent.stage, parent_key),
-        )
-        slot = state_of(survivor.accumulated, n_bins)
-        incumbent_s = new_table.get(slot)
-        if incumbent_s is None or survivor.metric > incumbent_s.metric:
-            new_table[slot] = survivor
-    return new_table, evaluations
-
-
-def root_table(n_antennas: int, n_users: int, n_bins: int) -> SurvivorTable:
-    """Stage-0 table: the empty activation as a pure phase reference."""
-    root = Survivor(
-        activation=ActivationVector((0,) * n_antennas),
-        accumulated=(0j,) * n_users,
-        metric=0.0,
-        stage=0,
-        parent=None,
+def root_stage(n_antennas: int, n_users: int, n_bins: int) -> Stage:
+    """Stage 0: the empty activation as a pure phase reference."""
+    signals = np.zeros((1, n_users), dtype=complex)
+    return Stage(
+        masks=np.zeros((1, n_antennas), dtype=bool),
+        signals=signals,
+        metrics=np.zeros(1),
+        buckets=bucket_codes(signals, n_bins),
+        parents=np.array([-1]),
     )
-    return {TrellisStateId((quantize_phase(0.0, n_bins),) * n_users): root}
 
 
 def stage_expand(
-    survivors: SurvivorTable,
+    stage: Stage,
     B: "ChannelMatrix | np.ndarray",
     n_bins: int,
     verify_incremental: bool = False,
-) -> SurvivorTable:
-    """Expand one stage's survivor table into the next stage's (test hook)."""
-    if not survivors:
-        raise ValueError("survivor table must be non-empty")
-    ctx = _make_context(B, n_bins, verify_incremental)
-    table, _ = _expand(survivors, ctx)
-    return table
+) -> Stage:
+    """Expand one stage into the next: screen every (antenna, parent row)
+    extension at once, keep the best per bucket, rebuild the winners."""
+    if not len(stage):
+        raise ValueError("stage must be non-empty")
+    gains = as_gains(B)
+    active = int(np.count_nonzero(stage.masks[0])) + 1
+    z = stage.signals[None, :, :] + gains.T[:, None, :]  # (antenna, row, user)
+    cand = _worst_user_metric(z, active)
+    # strict improvement gate; np.nonzero yields (antenna, parent row) order,
+    # which decides ties within a bucket
+    antenna, row = np.nonzero(~stage.masks.T & (cand > stage.metrics))
+    win = _best_per_bucket(bucket_codes(z[antenna, row], n_bins), cand[antenna, row])
+    antenna, row = antenna[win], row[win]
+
+    masks = stage.masks[row]
+    masks[np.arange(len(row)), antenna] = True
+    signals = np.empty((len(row), gains.shape[0]), dtype=complex)
+    for i, mask in enumerate(masks):
+        signals[i] = gains[:, np.flatnonzero(mask)].sum(axis=1)
+    metrics = _worst_user_metric(signals, active)
+    keep = metrics > stage.metrics[row]  # re-check the gate on the canonical value
+    masks, signals, metrics, row = masks[keep], signals[keep], metrics[keep], row[keep]
+    if verify_incremental:
+        z_inc = z[antenna[keep], row]
+        bad = np.abs(z_inc - signals) > 1e-10 * (1.0 + np.abs(signals))
+        if bad.any():
+            raise InvariantError(
+                "incremental/canonical accumulated-signal mismatch: "
+                f"{complex(z_inc[bad][0])} vs {complex(signals[bad][0])}"
+            )
+    buckets = bucket_codes(signals, n_bins)
+    win = _best_per_bucket(buckets, metrics)
+    return Stage(masks[win], signals[win], metrics[win], buckets[win], row[win])
 
 
 def vss_select(
@@ -206,43 +164,51 @@ def vss_select(
 
     ``n_bins`` defaults to the channel's configured phase-bin count when a
     ChannelMatrix is given; it must be passed explicitly for bare arrays.
+    Raises ``ValueError`` before the first stage when the candidate block
+    (N x Q^M x M entries) would exceed ``MAX_BLOCK_ENTRIES``.
     """
     if n_bins is None:
         if isinstance(B, ChannelMatrix):
             n_bins = B.config_snapshot.phase_bins
         else:
             raise ValueError("n_bins is required when B is a bare gain array")
-    ctx = _make_context(B, n_bins, verify_incremental)
-    n_users, n_antennas = ctx.gains.shape
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    gains = as_gains(B)
+    n_users, n_antennas = gains.shape
+    if n_antennas * n_bins**n_users * n_users > MAX_BLOCK_ENTRIES:
+        raise ValueError(
+            f"trellis candidate block N*Q^M*M for N={n_antennas}, Q={n_bins}, "
+            f"M={n_users} exceeds the limit of {MAX_BLOCK_ENTRIES} entries"
+        )
 
-    table = root_table(n_antennas, n_users, n_bins)
+    stage = root_stage(n_antennas, n_users, n_bins)
     evaluations = 0
     running_best: list[float] = []
     survivors_per_stage: list[int] = []
-    best: Survivor | None = None
-    last_stage = 0
-    for _ in range(1, n_antennas + 1):
-        table, stage_evals = _expand(table, ctx)
-        evaluations += stage_evals
-        if not table:
+    best_metric, best_mask, best_stage = -math.inf, None, 0
+    for tau in range(1, n_antennas + 1):
+        evaluations += int(np.count_nonzero(~stage.masks))
+        stage = stage_expand(stage, gains, n_bins, verify_incremental)
+        if not len(stage):
             break
-        last_stage += 1
-        for key in sorted(table):
-            survivor = table[key]
-            if best is None or survivor.metric > best.metric:
-                best = survivor
-        running_best.append(best.metric)
-        survivors_per_stage.append(len(table))
-    if best is None:
+        row = int(np.argmax(stage.metrics))
+        if stage.metrics[row] > best_metric:
+            best_metric, best_mask = float(stage.metrics[row]), stage.masks[row]
+            best_stage = tau
+        running_best.append(best_metric)
+        survivors_per_stage.append(len(stage))
+    if best_mask is None:
         raise ValueError(
             "no single-antenna activation has positive worst-user power; "
             "the gain matrix violates the nonzero-entry contract"
         )
     trace = VssTrace(
         running_best=tuple(running_best),
-        termination_stage=last_stage,
-        best_stage=best.stage,
+        termination_stage=len(running_best),
+        best_stage=best_stage,
         metric_evaluations=evaluations,
         survivors_per_stage=tuple(survivors_per_stage),
     )
-    return SolverResult(best.activation, best.metric, evaluations, trace)
+    activation = ActivationVector(tuple(best_mask.tolist()))
+    return SolverResult(activation, best_metric, evaluations, trace)

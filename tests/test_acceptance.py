@@ -15,8 +15,9 @@ from pinchsel.baselines import best_singleton, brute_force_select
 from pinchsel.channel import build_channel_matrix, sample_users
 from pinchsel.config import SystemConfig
 from pinchsel.harness import ExperimentSpec, derive_seed, run_sweep, run_trial
-from pinchsel.metric import maxmin_metric, rate_from_metric
-from pinchsel.vss import quantize_phase, root_table, stage_expand, state_of, vss_select
+from pinchsel.metric import rate_from_metric
+from pinchsel.verify import stage_problems
+from pinchsel.vss import quantize_phase, root_stage, stage_expand, vss_select
 
 SEED = 7
 
@@ -215,16 +216,12 @@ def test_criterion_7_property_suite():
         single = best_singleton(gains)
         assert brute.metric >= res.metric >= single.metric  # exact ordering
 
-        table = root_table(n_antennas, n_users, n_bins)
-        while table:
-            nxt = stage_expand(table, gains, n_bins)
-            assert len(nxt) <= n_bins**n_users  # one survivor per state
-            for key, surv in nxt.items():
-                assert all(0 <= b < n_bins for b in key.bins)
-                assert state_of(surv.accumulated, n_bins) == key
-                assert surv.metric > table[surv.parent[1]].metric  # strict paths
-                assert surv.metric == maxmin_metric(gains, surv.activation)
-            table = nxt
+        stage = root_stage(n_antennas, n_users, n_bins)
+        while len(stage):
+            nxt = stage_expand(stage, gains, n_bins)
+            # one survivor per bucket, strict paths, canonical buckets and metrics
+            assert stage_problems(stage, nxt, gains, n_bins) == []
+            stage = nxt
     _report(
         "criterion 7 (property suite)",
         True,

@@ -147,6 +147,19 @@ class TestConvergenceCommand:
             rates = list(data[:, 1])
             assert rates == sorted(rates)
 
+    def test_oversized_trellis_block_exits_one(self, tmp_path, capsys):
+        rc = main(
+            [
+                "convergence", "--n", "100", "--users", "6", "--q-bins", "8",
+                "--trials", "1", "--out-dir", str(tmp_path),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "N=100, Q=8, M=6" in err and str(2**24) in err
+        assert not list(tmp_path.iterdir())
+
     def test_single_antenna_single_line(self, tmp_path):
         rc = main(
             [
@@ -212,6 +225,28 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 2
         assert "[FAIL]" in out
+
+    def test_invariant_breach_fails_its_check_and_battery_goes_on(
+        self, monkeypatch, capsys
+    ):
+        # a trellis that beats the oracle trips run_trial's ordering check
+        real = harness.vss_select
+
+        def inflated(B, n_bins):
+            return dataclasses.replace(real(B, n_bins), metric=math.inf)
+
+        monkeypatch.setattr(harness, "vss_select", inflated)
+        rc = main(["verify", "--quick"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        lines = [line for line in out.splitlines() if line.startswith("[")]
+        assert len(lines) == 5
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert [line.split(":")[0] for line in failed] == [
+            "[FAIL] oracle-equivalence-single-user",
+            "[FAIL] oracle-equivalence-multi-user",
+        ]
+        assert all("exceeds exhaustive optimum" in line for line in failed)
 
 
 def test_invariant_violation_exits_two(monkeypatch, capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Trellis solver tests: quantiser, states, expansion, end-to-end invariants."""
+"""Trellis solver tests: quantiser, buckets, expansion, end-to-end invariants."""
 
 import math
 
@@ -10,15 +10,10 @@ from hypothesis import strategies as st
 from pinchsel.baselines import best_singleton, brute_force_select
 from pinchsel.channel import build_channel_matrix, sample_users
 from pinchsel.config import SystemConfig
-from pinchsel.metric import ActivationVector, accumulated_signal, maxmin_metric, metric_from_accumulated
-from pinchsel.vss import (
-    TrellisStateId,
-    quantize_phase,
-    root_table,
-    stage_expand,
-    state_of,
-    vss_select,
-)
+from pinchsel.harness import derive_seed
+from pinchsel.metric import ActivationVector, accumulated_signal, metric_from_accumulated
+from pinchsel.verify import stage_problems
+from pinchsel.vss import bucket_codes, quantize_phase, root_stage, stage_expand, vss_select
 
 
 def _random_gains(seed, n_users, n_antennas):
@@ -79,13 +74,14 @@ class TestQuantizePhase:
 
 class TestStateOf:
     def test_single_user_phase_zero(self):
-        assert state_of([1 + 0j], 4) == TrellisStateId((2,))
+        assert bucket_codes(np.array([[1 + 0j]]), 4).tolist() == [2]
 
     def test_two_users_with_wrap(self):
-        assert state_of([1 + 0j, -1 + 0j], 4) == TrellisStateId((2, 0))
+        # bins (2, 0) read as base-4 digits, user 0 most significant
+        assert bucket_codes(np.array([[1 + 0j, -1 + 0j]]), 4).tolist() == [8]
 
     def test_zero_signal_convention(self):
-        assert state_of([0j], 4) == TrellisStateId((2,))
+        assert bucket_codes(np.array([[0j]]), 4).tolist() == [2]
 
 
 class TestVssSelect:
@@ -140,59 +136,62 @@ class TestVssSelect:
 class TestStageExpand:
     def test_empty_improvement_round(self):
         B = np.array([[1.0 + 0j, -1.0 + 0j]])
-        stage1 = stage_expand(root_table(2, 1, 4), B, 4)
+        stage1 = stage_expand(root_stage(2, 1, 4), B, 4)
         assert len(stage1) == 2  # phases 0 and pi land in different bins
-        assert stage_expand(stage1, B, 4) == {}
+        assert len(stage_expand(stage1, B, 4)) == 0
 
     def test_single_improving_extension(self):
         B = np.array([[1.0 + 0j, 1.0 + 0j]])
-        stage1 = stage_expand(root_table(2, 1, 4), B, 4)
-        # the two singletons tie and share a state; the incumbent (antenna 0) stays
+        stage1 = stage_expand(root_stage(2, 1, 4), B, 4)
+        # the two singletons tie and share a bucket; the incumbent (antenna 0) stays
         assert len(stage1) == 1
-        (survivor,) = stage1.values()
-        assert survivor.activation.mask == (1, 0)
+        assert stage1.masks.tolist() == [[True, False]]
         stage2 = stage_expand(stage1, B, 4)
         assert len(stage2) == 1
-        (pair,) = stage2.values()
-        assert pair.activation.mask == (1, 1)
-        assert pair.metric == 2.0
-        assert pair.parent == (1, state_of([1 + 0j], 4))
+        assert stage2.masks.tolist() == [[True, True]]
+        assert stage2.metrics.tolist() == [2.0]
+        assert stage2.parents.tolist() == [0]
 
     def test_rejects_empty_table(self):
+        B = np.array([[1.0 + 0j, -1.0 + 0j]])
+        terminal = stage_expand(stage_expand(root_stage(2, 1, 4), B, 4), B, 4)
         with pytest.raises(ValueError):
-            stage_expand({}, np.array([[1.0 + 0j]]), 4)
+            stage_expand(terminal, B, 4)
 
     def test_matches_naive_reenumeration(self):
         cfg = SystemConfig(n_antennas=12, n_users=2)
         B = build_channel_matrix(cfg, sample_users(555, cfg))
         n_bins = 4
-        table = root_table(12, 2, n_bins)
+        stage = root_stage(12, 2, n_bins)
         for _ in range(12):
-            expanded = stage_expand(table, B, n_bins)
-            oracle = self._naive_expand(table, B.gains, n_bins)
-            assert set(expanded) == set(oracle)
-            for key, survivor in expanded.items():
-                o_metric, o_mask = oracle[key]
-                assert survivor.activation.mask == o_mask
-                assert survivor.metric == o_metric
-            if not expanded:
+            expanded = stage_expand(stage, B, n_bins)
+            oracle = self._naive_expand(stage, B.gains, n_bins)
+            assert expanded.buckets.tolist() == sorted(oracle)
+            for bucket, mask, metric in zip(
+                expanded.buckets.tolist(), expanded.masks, expanded.metrics.tolist()
+            ):
+                o_metric, o_mask = oracle[bucket]
+                assert tuple(mask.astype(int).tolist()) == o_mask
+                assert metric == o_metric
+            if not len(expanded):
                 break
-            table = expanded
+            stage = expanded
 
     @staticmethod
-    def _naive_expand(table, gains, n_bins):
-        """All (parent, extension) pairs, gate-filtered, grouped by state."""
+    def _naive_expand(stage, gains, n_bins):
+        """All (parent, extension) pairs, gate-filtered, grouped by bucket."""
         best = {}
-        for parent in table.values():
+        for mask, parent_metric in zip(stage.masks, stage.metrics.tolist()):
+            parent = ActivationVector(tuple(mask.tolist()))
             for n in range(gains.shape[1]):
-                if parent.activation.mask[n]:
+                if parent.mask[n]:
                     continue
-                act = parent.activation.with_added(n)
+                act = parent.with_added(n)
                 z = accumulated_signal(gains, act)
                 metric = metric_from_accumulated(z.tolist(), act.active_count)
-                if metric <= parent.metric:
+                if metric <= parent_metric:
                     continue
-                key = state_of(z.tolist(), n_bins)
+                key = int(bucket_codes(z[None, :], n_bins)[0])
                 if key not in best or metric > best[key][0]:
                     best[key] = (metric, act.mask)
         return best
@@ -206,16 +205,11 @@ class TestTrellisInvariants:
             n_users = int(rng.integers(1, 3))
             n_bins = int(rng.choice([1, 2, 4, 8]))
             gains = _random_gains(int(rng.integers(0, 2**31)), n_users, n_antennas)
-            table = root_table(n_antennas, n_users, n_bins)
-            while table:
-                nxt = stage_expand(table, gains, n_bins, verify_incremental=True)
-                assert len(nxt) <= n_bins**n_users
-                for key, survivor in nxt.items():
-                    assert all(0 <= b < n_bins for b in key.bins)
-                    assert survivor.metric > table[survivor.parent[1]].metric
-                    assert state_of(survivor.accumulated, n_bins) == key
-                    assert survivor.metric == maxmin_metric(gains, survivor.activation)
-                table = nxt
+            stage = root_stage(n_antennas, n_users, n_bins)
+            while len(stage):
+                nxt = stage_expand(stage, gains, n_bins, verify_incremental=True)
+                assert stage_problems(stage, nxt, gains, n_bins) == []
+                stage = nxt
 
     def test_bounds_against_reference_solvers(self):
         for seed in range(15):
@@ -259,3 +253,168 @@ class TestTrellisInvariants:
             for q in totals:
                 totals[q] += vss_select(B, q).metric
         assert totals[4] >= totals[1]
+
+
+# vss_select fingerprints recorded from the scalar-loop trellis this array
+# implementation replaced: (N, M, Q, trial, metric hex, active indices,
+# evaluations, termination stage, best stage, survivors per stage, running
+# best hex), on seed-7 paper channels.
+PARITY = [
+    (12, 1, 4, 0, '0x1.8c47a021a2964p-6', (0, 2, 3), 169, 6, 3, (4, 4, 4, 3, 1, 1),
+     ('0x1.8e299ac3b73f2p-7', '0x1.34e6d58b0584fp-6', '0x1.8c47a021a2964p-6',
+      '0x1.8c47a021a2964p-6', '0x1.8c47a021a2964p-6', '0x1.8c47a021a2964p-6')),
+    (12, 1, 4, 1, '0x1.29df5976cc475p-7', (0, 3, 6, 8, 9, 10, 11), 158, 8, 7,
+     (3, 3, 3, 2, 2, 2, 2, 1),
+     ('0x1.36840d8c28c7dp-9', '0x1.2bf51d821db68p-8', '0x1.b0f9cc3b3ee78p-8',
+      '0x1.fdde3b9784aa6p-8', '0x1.17f6638f419ffp-7', '0x1.2943d6c7ad51dp-7',
+      '0x1.29df5976cc475p-7', '0x1.29df5976cc475p-7')),
+    (12, 1, 4, 2, '0x1.11386327520d0p-4', (2, 3, 4, 6), 122, 4, 4, (4, 4, 2, 1),
+     ('0x1.b5a67c2c85c00p-5', '0x1.e18e3f7590addp-5', '0x1.07e4738ba80b4p-4',
+      '0x1.11386327520d0p-4')),
+    (30, 2, 8, 0, '0x1.1cdecf5dcec41p-6',
+     (0, 3, 4, 5, 6, 7, 10, 13, 17, 19, 21, 24, 27), 9792, 16, 13,
+     (26, 56, 57, 54, 46, 40, 33, 26, 18, 11, 10, 6, 4, 3, 2, 1),
+     ('0x1.20650976a0c9cp-8', '0x1.09fe9a0f60da2p-7', '0x1.52f2536c7e3b5p-7',
+      '0x1.8ff983b826ad8p-7', '0x1.c923ade276230p-7', '0x1.db29fa5732c8fp-7',
+      '0x1.fb338dc548377p-7', '0x1.03111ac6bc5c3p-6', '0x1.18713cfab21c9p-6',
+      '0x1.18713cfab21c9p-6', '0x1.18713cfab21c9p-6', '0x1.18b52f0483105p-6',
+      '0x1.1cdecf5dcec41p-6', '0x1.1cdecf5dcec41p-6', '0x1.1cdecf5dcec41p-6',
+      '0x1.1cdecf5dcec41p-6')),
+    (30, 2, 8, 1, '0x1.e352379c90095p-6',
+     (2, 11, 12, 14, 15, 17, 18, 19, 20, 21, 23, 27, 28, 29), 11962, 23, 14,
+     (21, 51, 56, 50, 50, 44, 43, 41, 33, 27, 24, 17, 16, 11, 8, 6, 6, 4, 3, 3, 3, 2,
+      1),
+     ('0x1.db53cc68b47d7p-9', '0x1.bce9384af739cp-8', '0x1.43303dcfcbb99p-7',
+      '0x1.a1f62fef0c92dp-7', '0x1.0a566e96b275ap-6', '0x1.3922641559d6bp-6',
+      '0x1.6148703b90677p-6', '0x1.8a197ff112245p-6', '0x1.a54a4f49a4b21p-6',
+      '0x1.bc23ea1602c63p-6', '0x1.c21fdded34100p-6', '0x1.d300b1fae7c81p-6',
+      '0x1.e23e780d13420p-6', '0x1.e352379c90095p-6', '0x1.e352379c90095p-6',
+      '0x1.e352379c90095p-6', '0x1.e352379c90095p-6', '0x1.e352379c90095p-6',
+      '0x1.e352379c90095p-6', '0x1.e352379c90095p-6', '0x1.e352379c90095p-6',
+      '0x1.e352379c90095p-6', '0x1.e352379c90095p-6')),
+    (30, 2, 8, 2, '0x1.0f9ba277a8769p-6', (4, 5, 7, 13, 15, 17, 19, 20, 22, 24, 26, 29),
+     13503, 19, 12,
+     (22, 52, 57, 59, 57, 58, 58, 45, 42, 35, 28, 22, 16, 11, 6, 4, 2, 2, 1),
+     ('0x1.7d3f5452cfcd1p-9', '0x1.66a7e1c67ad42p-8', '0x1.f9fe3054f903bp-8',
+      '0x1.4fc910c287248p-7', '0x1.60ac499dd1e2bp-7', '0x1.9c8ab9a34d108p-7',
+      '0x1.c8c6aa3593502p-7', '0x1.efdf6ebb37615p-7', '0x1.03fe39c22e5e9p-6',
+      '0x1.040e20e196988p-6', '0x1.0ccc6e8a57e2ap-6', '0x1.0f9ba277a8769p-6',
+      '0x1.0f9ba277a8769p-6', '0x1.0f9ba277a8769p-6', '0x1.0f9ba277a8769p-6',
+      '0x1.0f9ba277a8769p-6', '0x1.0f9ba277a8769p-6', '0x1.0f9ba277a8769p-6',
+      '0x1.0f9ba277a8769p-6')),
+    (50, 1, 4, 0, '0x1.85cdc1af12b01p-5', (0, 1, 2, 5, 6, 7, 9, 12, 17, 18, 19, 21),
+     1985, 21, 12, (4, 4, 4, 4, 4, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1),
+     ('0x1.f4cb39ca23aefp-8', '0x1.d9152e634109ap-7', '0x1.5158e18d98237p-6',
+      '0x1.ab619fedb7b92p-6', '0x1.03b02e60bfbbdp-5', '0x1.2368dbf0c0e71p-5',
+      '0x1.3782d4ee39285p-5', '0x1.4ec1b5f864f32p-5', '0x1.64492b6d2f512p-5',
+      '0x1.74df0d242c9b0p-5', '0x1.826f8a6cec5e7p-5', '0x1.85cdc1af12b01p-5',
+      '0x1.85cdc1af12b01p-5', '0x1.85cdc1af12b01p-5', '0x1.85cdc1af12b01p-5',
+      '0x1.85cdc1af12b01p-5', '0x1.85cdc1af12b01p-5', '0x1.85cdc1af12b01p-5',
+      '0x1.85cdc1af12b01p-5', '0x1.85cdc1af12b01p-5', '0x1.85cdc1af12b01p-5')),
+    (50, 1, 4, 1, '0x1.e4c11e2be6631p-7',
+     (2, 3, 5, 11, 14, 16, 17, 18, 19, 20, 22, 24, 29, 30, 33, 35, 36, 40, 42, 44, 47),
+     2683, 22, 21, (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1),
+     ('0x1.e93423afa8e82p-10', '0x1.c8c22ddb39cf3p-9', '0x1.49b3a5be36659p-8',
+      '0x1.93b49740a8608p-8', '0x1.d2462af5ddc1bp-8', '0x1.fef3aa9ca4863p-8',
+      '0x1.1adb425995a46p-7', '0x1.39fb5de381b2dp-7', '0x1.5457ccdb09da2p-7',
+      '0x1.6d166daa24948p-7', '0x1.7fca3c2585883p-7', '0x1.8fe4bc4d720fdp-7',
+      '0x1.9e75fa468f51cp-7', '0x1.aa55833a12945p-7', '0x1.b327ce6b14473p-7',
+      '0x1.bc0ed8daaee35p-7', '0x1.c4e79e1171c09p-7', '0x1.cd2c44d4c1fa5p-7',
+      '0x1.d6040ded3a86dp-7', '0x1.e0731d2dfb4f8p-7', '0x1.e4c11e2be6631p-7',
+      '0x1.e4c11e2be6631p-7')),
+    (50, 1, 4, 2, '0x1.6538efafc2abbp-6',
+     (2, 7, 8, 9, 10, 12, 13, 20, 21, 22, 24, 25, 26, 27, 28, 34, 35, 36, 37, 39, 40,
+      41, 46, 47, 49),
+     2974, 25, 25,
+     (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1),
+     ('0x1.b8b28bba8421bp-10', '0x1.b808a574fc1d1p-9', '0x1.4414f72ec3056p-8',
+      '0x1.a6ba11b1ddb7cp-8', '0x1.0108f3bcd4b0ap-7', '0x1.2e96e7da341a4p-7',
+      '0x1.5c1cbc7f4d701p-7', '0x1.89777efe2b176p-7', '0x1.b3582930d0801p-7',
+      '0x1.d9bfc5ea97546p-7', '0x1.f5301ffd45563p-7', '0x1.0894063b461bbp-6',
+      '0x1.16788a6774189p-6', '0x1.239f1f70488ccp-6', '0x1.2eb65ac03b62ap-6',
+      '0x1.39737155206b6p-6', '0x1.4380395e7c47ap-6', '0x1.4e250a2281decp-6',
+      '0x1.553b20d81a776p-6', '0x1.58c520843891ep-6', '0x1.5db3584aeba84p-6',
+      '0x1.605bc3438e5d4p-6', '0x1.62d6e8be6f026p-6', '0x1.64524a0192923p-6',
+      '0x1.6538efafc2abbp-6')),
+    (100, 2, 4, 0, '0x1.5801d1f9bc91ap-6',
+     (4, 7, 11, 14, 20, 29, 32, 41, 44, 45, 47, 52, 57, 62, 70, 74, 75, 76, 77, 86, 91,
+      95),
+     24067, 29, 22,
+     (16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 13, 12, 10, 10, 8, 8, 7, 4, 3, 2, 2,
+      1, 1, 1, 2, 2, 2, 1),
+     ('0x1.dc0b037c3f6c4p-10', '0x1.d4dda7b8ca549p-9', '0x1.4896bd46407d3p-8',
+      '0x1.b699904fd6575p-8', '0x1.076f85c715d5ap-7', '0x1.33c9f8937c247p-7',
+      '0x1.634b1c84555b3p-7', '0x1.85e24b9f399c7p-7', '0x1.a7b4937a973b7p-7',
+      '0x1.d3df738be00bap-7', '0x1.f48c704792249p-7', '0x1.0744a8ecab5f8p-6',
+      '0x1.15331df419316p-6', '0x1.1fc40679d7122p-6', '0x1.2acf74ce3d480p-6',
+      '0x1.30d03d611288cp-6', '0x1.3a0e31d054efep-6', '0x1.3afd562a481f1p-6',
+      '0x1.471337a286ee6p-6', '0x1.50b9813c73bf1p-6', '0x1.54445805ad8d1p-6',
+      '0x1.5801d1f9bc91ap-6', '0x1.5801d1f9bc91ap-6', '0x1.5801d1f9bc91ap-6',
+      '0x1.5801d1f9bc91ap-6', '0x1.5801d1f9bc91ap-6', '0x1.5801d1f9bc91ap-6',
+      '0x1.5801d1f9bc91ap-6', '0x1.5801d1f9bc91ap-6')),
+    (100, 2, 4, 1, '0x1.2890fb72dcb8cp-4',
+     (9, 14, 17, 28, 29, 32, 33, 39, 40, 42, 46, 48, 49, 50, 52, 55, 58, 59, 63, 69, 71,
+      76, 82, 85, 87, 90),
+     28777, 26, 26,
+     (16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 15, 15, 15, 14, 11, 12, 9, 8, 9, 8, 8,
+      8, 7, 6, 2),
+     ('0x1.01a22b70dac7dp-7', '0x1.e0526a5a1a7c4p-7', '0x1.5f1a781c5656fp-6',
+      '0x1.caec29dadfaa0p-6', '0x1.110a7293539bdp-5', '0x1.2f4dbb7e50770p-5',
+      '0x1.4679eb2a35605p-5', '0x1.616f7e7945be2p-5', '0x1.6a21fc8d02f18p-5',
+      '0x1.89e152ce17586p-5', '0x1.a135fef8b98d9p-5', '0x1.b84940dee3850p-5',
+      '0x1.d162bf3c0668cp-5', '0x1.df193d7cf08c7p-5', '0x1.eb8dead180077p-5',
+      '0x1.f77efec464d7cp-5', '0x1.06f482e6a5533p-4', '0x1.0a05f325514dap-4',
+      '0x1.0f6fc3a3aa986p-4', '0x1.0faed076d1615p-4', '0x1.102a6d65da65bp-4',
+      '0x1.1424ee0dc6ee4p-4', '0x1.1c775a9ffc7c2p-4', '0x1.223988da96f53p-4',
+      '0x1.2727f0656fed3p-4', '0x1.2890fb72dcb8cp-4')),
+    (100, 2, 4, 2, '0x1.57ce1325feeb0p-6',
+     (10, 13, 19, 21, 23, 25, 28, 36, 37, 38, 44, 45, 46, 50, 51, 54, 59, 65, 88),
+     27371, 33, 19,
+     (16, 16, 16, 16, 16, 16, 15, 15, 14, 14, 14, 14, 14, 14, 14, 13, 13, 10, 9, 7, 6,
+      5, 4, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1),
+     ('0x1.cdfef33e215d6p-10', '0x1.cd4073f412dadp-9', '0x1.522c056eabda8p-8',
+      '0x1.b888ab22b371ep-8', '0x1.0715005c51360p-7', '0x1.3246c4eccb0dbp-7',
+      '0x1.5aadc57a7c1a9p-7', '0x1.806e9c122841fp-7', '0x1.a14826e98bf3cp-7',
+      '0x1.bf5ab0b6d6e68p-7', '0x1.de3c1d88a671cp-7', '0x1.03b390ad367dcp-6',
+      '0x1.1b55c64bffab9p-6', '0x1.2444d34f18f66p-6', '0x1.29958e10691adp-6',
+      '0x1.3e0f55fa959eap-6', '0x1.43fc6269f358ap-6', '0x1.51ebda91aadedp-6',
+      '0x1.57ce1325feeb0p-6', '0x1.57ce1325feeb0p-6', '0x1.57ce1325feeb0p-6',
+      '0x1.57ce1325feeb0p-6', '0x1.57ce1325feeb0p-6', '0x1.57ce1325feeb0p-6',
+      '0x1.57ce1325feeb0p-6', '0x1.57ce1325feeb0p-6', '0x1.57ce1325feeb0p-6',
+      '0x1.57ce1325feeb0p-6', '0x1.57ce1325feeb0p-6', '0x1.57ce1325feeb0p-6',
+      '0x1.57ce1325feeb0p-6', '0x1.57ce1325feeb0p-6', '0x1.57ce1325feeb0p-6')),
+    (40, 3, 2, 0, '0x1.4c8ba4794bf68p-7', (3, 10, 11, 20, 21, 28, 30, 35, 36, 39), 2296,
+     11, 10, (8, 8, 8, 8, 8, 6, 6, 6, 3, 2, 1),
+     ('0x1.c70d34554c82cp-10', '0x1.a8d5d9cf344dbp-9', '0x1.25d07743a4627p-8',
+      '0x1.7555f2609cf18p-8', '0x1.ba90977164a80p-8', '0x1.eaca5e980324cp-8',
+      '0x1.13dfca551211fp-7', '0x1.27c6cbd48c607p-7', '0x1.3a31ff85da55bp-7',
+      '0x1.4c8ba4794bf68p-7', '0x1.4c8ba4794bf68p-7')),
+    (40, 3, 2, 1, '0x1.dd5b8c85a2310p-7', (4, 5, 11, 12, 25, 28, 34, 36, 37, 38), 2332,
+     10, 10, (8, 8, 8, 8, 8, 7, 7, 5, 3, 3),
+     ('0x1.d7ad8f98b5f50p-9', '0x1.a409d4d251aedp-8', '0x1.1dd6d63a0727bp-7',
+      '0x1.4bcd1991e473ap-7', '0x1.97098c282eb7dp-7', '0x1.97098c282eb7dp-7',
+      '0x1.abb19c6251622p-7', '0x1.c22a4935c8145p-7', '0x1.d929168c9a3aep-7',
+      '0x1.dd5b8c85a2310p-7')),
+    (40, 3, 2, 2, '0x1.2c512889e335bp-7', (1, 5, 6, 10, 12, 17, 18, 35, 38), 1670, 9, 9,
+     (8, 7, 7, 7, 6, 4, 4, 1, 1),
+     ('0x1.2bf7a908aa5e9p-9', '0x1.cef68d2e31586p-9', '0x1.3389ea626f484p-8',
+      '0x1.69e9dfde7fe7bp-8', '0x1.a1bc1b41888f3p-8', '0x1.dee922a1045b5p-8',
+      '0x1.1dc12c6817142p-7', '0x1.1e682bd82bf34p-7', '0x1.2c512889e335bp-7')),
+
+]
+
+
+@pytest.mark.parametrize("n_antennas,n_users,n_bins", sorted({row[:3] for row in PARITY}))
+def test_parity_with_recorded_fingerprints(n_antennas, n_users, n_bins):
+    cfg = SystemConfig(n_antennas=n_antennas, n_users=n_users, phase_bins=n_bins)
+    rows = [row for row in PARITY if row[:3] == (n_antennas, n_users, n_bins)]
+    for _, _, _, t, metric, indices, evals, term, best, survivors, running in rows:
+        B = build_channel_matrix(cfg, sample_users(derive_seed(7, n_antennas, t), cfg))
+        res = vss_select(B, n_bins)
+        trace = res.trace
+        assert res.metric.hex() == metric
+        assert res.activation.indices == indices
+        assert res.evaluations == trace.metric_evaluations == evals
+        assert (trace.termination_stage, trace.best_stage) == (term, best)
+        assert trace.survivors_per_stage == survivors
+        assert tuple(x.hex() for x in trace.running_best) == running
