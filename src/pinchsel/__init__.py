@@ -12,10 +12,8 @@ from .channel import (
     Point3,
     UserPlacement,
     build_channel_matrix,
-    free_space_gain,
     pa_positions,
     sample_users,
-    waveguide_phase,
 )
 from .config import SystemConfig, dbm_to_watts, watts_to_dbm
 from .harness import (
@@ -59,7 +57,6 @@ __all__ = [
     "build_channel_matrix",
     "dbm_to_watts",
     "derive_seed",
-    "free_space_gain",
     "greedy_pgga_select",
     "maxmin_metric",
     "pa_positions",
@@ -72,6 +69,5 @@ __all__ = [
     "sample_users",
     "stage_expand",
     "vss_select",
-    "waveguide_phase",
     "watts_to_dbm",
 ]

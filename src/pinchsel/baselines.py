@@ -6,8 +6,8 @@ signal with a single complex add or subtract, keeps a shortlist of
 near-maximal masks, and rescores the shortlist in canonical order at the end;
 the reported optimum is therefore immune to drift accumulated along the walk
 and directly comparable (bit-for-bit) with the trellis solver's output. It
-refuses arrays larger than ``BRUTE_FORCE_CAP`` antennas. ``_brute_force_naive``
-rescores every subset from scratch; tests use it to validate the walk.
+refuses arrays larger than ``BRUTE_FORCE_CAP`` antennas. The tests validate
+the walk against a naive rescorer that scores every subset from scratch.
 
 ``greedy_pgga_select`` reconstructs a projection-guided forward-selection
 baseline: grow the active set from the best singleton, each round adding the
@@ -96,20 +96,6 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
         candidates.append((maxmin_metric(gains, activation), activation))
     metric, activation = min(candidates, key=lambda c: _tie_key(c[0], c[1]))
     return SolverResult(activation, metric, (1 << n_antennas) - 1)
-
-
-def _brute_force_naive(B: "ChannelMatrix | np.ndarray") -> SolverResult:
-    gains = as_gains(B)
-    n_antennas = gains.shape[1]
-    best: tuple | None = None
-    for mask in range(1, 1 << n_antennas):
-        activation = _mask_to_activation(mask, n_antennas)
-        metric = maxmin_metric(gains, activation)
-        key = _tie_key(metric, activation)
-        if best is None or key < best[0]:
-            best = (key, metric, activation)
-    assert best is not None
-    return SolverResult(best[2], best[1], (1 << n_antennas) - 1)
 
 
 def best_singleton(B: "ChannelMatrix | np.ndarray") -> SolverResult:

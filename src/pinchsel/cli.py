@@ -22,6 +22,7 @@ from .config import SystemConfig, dbm_to_watts
 from .harness import SOLVERS, ExperimentSpec, run_convergence, run_sweep
 from .metric import InvariantError
 from .verify import run_checks
+from .vss import check_block_size
 
 # Short CLI names for solvers; canonical ``SOLVERS`` names are accepted too.
 _SHORT_NAMES = {"brute": "brute_force", "singleton": "best_singleton"}
@@ -166,16 +167,15 @@ _CONVERTERS = {
 
 def _resolve(args: argparse.Namespace, need_solvers: bool) -> CliConfig:
     file_vals: dict[str, str] = {}
-    if args.config is not None:
+    if hasattr(args, "config"):
         file_vals = read_config_file(Path(args.config))
         unknown = set(file_vals) - set(_CONVERTERS)
         if unknown:
             raise ValueError(f"unknown config-file keys: {sorted(unknown)}")
 
     def pick(key: str):
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            return cli_val
+        if hasattr(args, key):  # flags left unset are absent, not None
+            return getattr(args, key)
         if key in file_vals:
             return _CONVERTERS[key](file_vals[key])
         return _DEFAULTS.get(key)
@@ -221,7 +221,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, with_solvers: bool) -> None:
     sub.add_argument("--height", type=float, help="waveguide height (m)")
     sub.add_argument("--freq-ghz", dest="freq_ghz", type=float, help="carrier (GHz)")
     sub.add_argument("--neff", type=float, help="waveguide refractive index")
-    sub.add_argument("--feed-x", dest="feed_x", type=float, help="feed x (m)")
+    sub.add_argument("--feed-x", dest="feed_x", type=_feed_x, help="feed x (m) or auto")
     sub.add_argument("--out-dir", dest="out_dir", help="output directory")
     sub.add_argument("--format", choices=("dat", "csv", "both"), help="outputs")
     sub.add_argument("--config", help="key=value config file")
@@ -235,11 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="mean worst-user rate vs antenna count")
+    p_sweep = sub.add_parser(
+        "sweep",
+        help="mean worst-user rate vs antenna count",
+        argument_default=argparse.SUPPRESS,
+    )
     _add_common_flags(p_sweep, with_solvers=True)
 
     p_conv = sub.add_parser(
-        "convergence", help="mean running-best rate vs trellis stage"
+        "convergence",
+        help="mean running-best rate vs trellis stage",
+        argument_default=argparse.SUPPRESS,
     )
     _add_common_flags(p_conv, with_solvers=False)
 
@@ -286,19 +292,6 @@ def write_sweep_outputs(cli: CliConfig, agg) -> list[Path]:
     return written
 
 
-def read_sweep_summary(path: Path) -> list[tuple[int, str, float, float, float]]:
-    """Re-parse a sweep summary CSV (helper for round-trip checks)."""
-    rows: list[tuple[int, str, float, float, float]] = []
-    with Path(path).open(newline="") as fh:
-        for record in csv.reader(line for line in fh if not line.startswith("#")):
-            if record[0] == "N":
-                continue
-            rows.append(
-                (int(record[0]), record[1], float(record[2]), float(record[3]), float(record[4]))
-            )
-    return rows
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cli = _resolve(args, need_solvers=True)
     spec = ExperimentSpec(
@@ -316,6 +309,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     cli = _resolve(args, need_solvers=False)
+    check_block_size(max(cli.n_values), cli.q_bins, cli.users)
     cli.out_dir.mkdir(parents=True, exist_ok=True)
     curves = {}
     for n in cli.n_values:

@@ -21,7 +21,7 @@ from .baselines import (
 from .channel import ChannelMatrix, build_channel_matrix, sample_users
 from .config import SystemConfig
 from .metric import InvariantError, SolverResult, rate_from_metric
-from .vss import vss_select
+from .vss import check_block_size, vss_select
 
 # Every solver by canonical name. Each entry resolves its function through
 # this module's globals at call time, so rebinding e.g. ``harness.vss_select``
@@ -76,6 +76,9 @@ class ExperimentSpec:
                 raise ValueError(
                     f"brute force requested for N={over} beyond cap {BRUTE_FORCE_CAP}"
                 )
+        if "vss" in self.solvers:
+            config = self.base_config
+            check_block_size(max(self.n_values), config.phase_bins, config.n_users)
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "solvers", tuple(self.solvers))
 

@@ -72,10 +72,6 @@ class ActivationVector:
             mask[i] = 1
         return cls(tuple(mask))
 
-    @classmethod
-    def all_on(cls, n_antennas: int) -> "ActivationVector":
-        return cls((1,) * n_antennas)
-
 
 @dataclass(frozen=True)
 class SolverResult:

@@ -35,6 +35,16 @@ from .metric import ActivationVector, InvariantError, SolverResult
 MAX_BLOCK_ENTRIES = 2**24
 
 
+def check_block_size(n_antennas: int, n_bins: int, n_users: int) -> None:
+    """Raise ``ValueError`` when the candidate block one stage screens
+    (N x Q^M x M entries) would exceed ``MAX_BLOCK_ENTRIES``."""
+    if n_antennas * n_bins**n_users * n_users > MAX_BLOCK_ENTRIES:
+        raise ValueError(
+            f"trellis candidate block N*Q^M*M for N={n_antennas}, Q={n_bins}, "
+            f"M={n_users} exceeds the limit of {MAX_BLOCK_ENTRIES} entries"
+        )
+
+
 def quantize_phase(phi: float, n_bins: int) -> int:
     """Map an angle to one of ``n_bins`` uniform bins over [-pi, pi).
 
@@ -164,8 +174,8 @@ def vss_select(
 
     ``n_bins`` defaults to the channel's configured phase-bin count when a
     ChannelMatrix is given; it must be passed explicitly for bare arrays.
-    Raises ``ValueError`` before the first stage when the candidate block
-    (N x Q^M x M entries) would exceed ``MAX_BLOCK_ENTRIES``.
+    Raises ``ValueError`` before the first stage when ``check_block_size``
+    refuses the size.
     """
     if n_bins is None:
         if isinstance(B, ChannelMatrix):
@@ -176,11 +186,7 @@ def vss_select(
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     gains = as_gains(B)
     n_users, n_antennas = gains.shape
-    if n_antennas * n_bins**n_users * n_users > MAX_BLOCK_ENTRIES:
-        raise ValueError(
-            f"trellis candidate block N*Q^M*M for N={n_antennas}, Q={n_bins}, "
-            f"M={n_users} exceeds the limit of {MAX_BLOCK_ENTRIES} entries"
-        )
+    check_block_size(n_antennas, n_bins, n_users)
 
     stage = root_stage(n_antennas, n_users, n_bins)
     evaluations = 0

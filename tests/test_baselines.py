@@ -4,15 +4,29 @@ import numpy as np
 import pytest
 
 from pinchsel.baselines import (
-    _brute_force_naive,
+    _mask_to_activation,
+    _tie_key,
     best_singleton,
     brute_force_select,
     greedy_pgga_select,
 )
 from pinchsel.channel import build_channel_matrix, sample_users
 from pinchsel.config import SystemConfig
-from pinchsel.metric import ActivationVector, maxmin_metric
+from pinchsel.metric import ActivationVector, SolverResult, maxmin_metric
 from pinchsel.vss import vss_select
+
+
+def _brute_force_naive(gains):
+    """Reference oracle: rescore every subset from scratch, same tie rule."""
+    n_antennas = gains.shape[1]
+    best = None
+    for mask in range(1, 1 << n_antennas):
+        activation = _mask_to_activation(mask, n_antennas)
+        metric = maxmin_metric(gains, activation)
+        key = _tie_key(metric, activation)
+        if best is None or key < best[0]:
+            best = (key, metric, activation)
+    return SolverResult(best[2], best[1], (1 << n_antennas) - 1)
 
 
 def _random_gains(seed, n_users, n_antennas):

@@ -11,12 +11,27 @@ from pinchsel.channel import (
     Point3,
     UserPlacement,
     build_channel_matrix,
-    free_space_gain,
     pa_positions,
     sample_users,
-    waveguide_phase,
 )
 from pinchsel.config import SystemConfig
+
+
+# Scalar references for build_channel_matrix, one antenna-user pair at a time.
+def free_space_gain(user: Point3, pa: Point3, wavelength: float) -> complex:
+    """Line-of-sight gain exp(-j 2 pi d / lambda) / d between one antenna and one user."""
+    d = math.dist(user, pa)
+    if d == 0.0:
+        raise ValueError("degenerate geometry: user coincides with antenna")
+    return cmath.exp(-2j * math.pi * d / wavelength) / d
+
+
+def waveguide_phase(pa: Point3, feed: Point3, guided_wavelength: float) -> complex:
+    """Unit-modulus phase accumulated travelling from the feed to the pinch."""
+    if not guided_wavelength > 0.0:
+        raise ValueError(f"guided_wavelength must be positive, got {guided_wavelength}")
+    s = math.dist(pa, feed)
+    return cmath.exp(-2j * math.pi * s / guided_wavelength)
 
 
 def test_pa_positions_two_antennas():

@@ -1,5 +1,6 @@
 """CLI contract tests: flag parsing, file emission, verify exit codes."""
 
+import csv
 import dataclasses
 import math
 
@@ -8,9 +9,22 @@ import pytest
 
 import pinchsel.vss
 from pinchsel import harness
-from pinchsel.cli import main, parse_n_values, parse_solvers, read_sweep_summary
+from pinchsel.cli import main, parse_n_values, parse_solvers
 from pinchsel.config import SystemConfig, dbm_to_watts, watts_to_dbm
 from pinchsel.harness import ExperimentSpec, run_sweep
+
+
+def read_sweep_summary(path):
+    """Re-parse a sweep summary CSV as (N, solver, rate, evals, active) rows."""
+    rows = []
+    with path.open(newline="") as fh:
+        for record in csv.reader(line for line in fh if not line.startswith("#")):
+            if record[0] == "N":
+                continue
+            rows.append(
+                (int(record[0]), record[1], float(record[2]), float(record[3]), float(record[4]))
+            )
+    return rows
 
 
 class TestParsing:
@@ -172,6 +186,28 @@ class TestConvergenceCommand:
         assert data.shape == (1, 2)
 
 
+@pytest.mark.parametrize("command", ["sweep", "convergence"])
+def test_oversized_trellis_refused_before_any_trial(command, monkeypatch, tmp_path):
+    # N=2000 breaks the block limit at Q=8, M=4; N=5 and N=10 would run
+    calls = []
+    real = harness.run_trial
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", counting)
+    rc = main(
+        [
+            command, "--n", "5,10,2000", "--users", "4", "--q-bins", "8",
+            "--trials", "3", "--out-dir", str(tmp_path),
+        ]
+    )
+    assert rc == 1
+    assert calls == []
+    assert not list(tmp_path.iterdir())
+
+
 class TestConfigFile:
     def test_file_values_used_and_flags_win(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -201,11 +237,21 @@ class TestConfigFile:
     def test_feed_x_auto_means_default(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("n = 4\ntrials = 1\nfeed_x = Auto\n")
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        numeric_file = tmp_path / "numeric.cfg"
+        numeric_file.write_text("feed_x = 5\n")
+        out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         assert main(["sweep", "--config", str(cfg_file), "--out-dir", str(out_a)]) == 0
         assert main(["sweep", "--n", "4", "--trials", "1", "--out-dir", str(out_b)]) == 0
+        # the flag takes the same converter as the file, and beats the file
+        assert main(
+            [
+                "sweep", "--n", "4", "--trials", "1", "--feed-x", "auto",
+                "--config", str(numeric_file), "--out-dir", str(out_c),
+            ]
+        ) == 0
         auto_dat = (out_a / "vss_rate_vs_N.dat").read_bytes()
         assert auto_dat == (out_b / "vss_rate_vs_N.dat").read_bytes()
+        assert auto_dat == (out_c / "vss_rate_vs_N.dat").read_bytes()
         assert b"feed_x=auto" in auto_dat
 
 
