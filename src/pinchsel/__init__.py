@@ -28,12 +28,10 @@ from .harness import (
 from .metric import (
     ActivationVector,
     InvariantError,
-    MetricReport,
     SolverResult,
     accumulated_signal,
     maxmin_metric,
     rate_from_metric,
-    rate_report,
 )
 from .vss import Stage, VssTrace, quantize_phase, stage_expand, vss_select
 
@@ -43,7 +41,6 @@ __all__ = [
     "ChannelMatrix",
     "ExperimentSpec",
     "InvariantError",
-    "MetricReport",
     "Point3",
     "SolverResult",
     "Stage",
@@ -62,7 +59,6 @@ __all__ = [
     "pa_positions",
     "quantize_phase",
     "rate_from_metric",
-    "rate_report",
     "run_convergence",
     "run_sweep",
     "run_trial",

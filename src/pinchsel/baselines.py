@@ -9,11 +9,17 @@ and directly comparable (bit-for-bit) with the trellis solver's output. It
 refuses arrays larger than ``BRUTE_FORCE_CAP`` antennas. The tests validate
 the walk against a naive rescorer that scores every subset from scratch.
 
+``best_singleton`` scores every column at once with the shared kernel
+``metric.worst_user_metric`` and takes the first maximum.
+
 ``greedy_pgga_select`` reconstructs a projection-guided forward-selection
 baseline: grow the active set from the best singleton, each round adding the
 antenna whose gain projects best onto the worst user's current signal
 direction, stopping at the first non-improving step. It follows a single
-refinement trajectory by design.
+refinement trajectory by design. The active set is a boolean mask; each round
+scores every antenna's projection in one array expression and the one
+candidate with the kernel on its canonical column sum, so stored metrics are
+bit-identical to ``maxmin_metric``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import math
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
-from .metric import ActivationVector, SolverResult, accumulated_signal, maxmin_metric
+from .metric import ActivationVector, SolverResult, maxmin_metric, worst_user_metric
 
 BRUTE_FORCE_CAP = 22
 
@@ -99,18 +105,14 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
 
 
 def best_singleton(B: "ChannelMatrix | np.ndarray") -> SolverResult:
-    """Best single-antenna activation (lower-bound reference)."""
+    """Best single-antenna activation (lower-bound reference); ties go to the
+    lowest antenna index."""
     gains = as_gains(B)
     n_antennas = gains.shape[1]
-    best_metric = -math.inf
-    best_index = 0
-    for n in range(n_antennas):
-        metric = maxmin_metric(gains, ActivationVector.singleton(n_antennas, n))
-        if metric > best_metric:
-            best_metric = metric
-            best_index = n
+    metrics = worst_user_metric(gains.T, 1)
+    best = int(np.argmax(metrics))
     return SolverResult(
-        ActivationVector.singleton(n_antennas, best_index), best_metric, n_antennas
+        ActivationVector.singleton(n_antennas, best), float(metrics[best]), n_antennas
     )
 
 
@@ -119,38 +121,33 @@ def greedy_pgga_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
 
     Start from the best singleton; each round, among the inactive antennas,
     pick the one maximising the worst user's projection
-    Re(conj(Z_m / |Z_m|) * B_{m,n}) and keep it only if the max-min metric
-    strictly improves. Deterministic, single trajectory.
+    Re(conj(Z_m / |Z_m|) * B_{m,n}) (ties: lowest index) and keep it only if
+    the max-min metric strictly improves. Deterministic, single trajectory.
     """
     gains = as_gains(B)
-    n_users, n_antennas = gains.shape
+    n_antennas = gains.shape[1]
 
     start = best_singleton(gains)
-    activation = start.activation
+    mask = np.array(start.activation.mask, dtype=bool)
     metric = start.metric
     evaluations = start.evaluations
-    z = accumulated_signal(gains, activation)
+    z = gains[:, mask].sum(axis=1)
 
-    while activation.active_count < n_antennas:
+    for count in range(2, n_antennas + 1):
         mag = np.abs(z)
         safe = np.where(mag > 0.0, mag, 1.0)
         directions = np.where(mag > 0.0, z / safe, 1.0 + 0j)
-        best_score = -math.inf
-        best_index = -1
-        for n in range(n_antennas):
-            if activation.mask[n]:
-                continue
-            score = float(np.min((np.conj(directions) * gains[:, n]).real))
-            if score > best_score:
-                best_score = score
-                best_index = n
-        candidate = activation.with_added(best_index)
-        candidate_metric = maxmin_metric(gains, candidate)
+        scores = (np.conj(directions)[:, None] * gains).real.min(axis=0)
+        scores[mask] = -math.inf
+        best = np.argmax(scores)
+        mask[best] = True
+        candidate = gains[:, mask].sum(axis=1)
+        candidate_metric = float(worst_user_metric(candidate, count))
         evaluations += 1
         if candidate_metric <= metric:
+            mask[best] = False
             break
-        activation = candidate
         metric = candidate_metric
-        z = accumulated_signal(gains, activation)
+        z = candidate
 
-    return SolverResult(activation, metric, evaluations)
+    return SolverResult(ActivationVector(tuple(mask.tolist())), metric, evaluations)

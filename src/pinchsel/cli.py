@@ -142,8 +142,18 @@ def read_config_file(path: Path) -> dict[str, str]:
     return entries
 
 
+class _FeedXError(ValueError, argparse.ArgumentTypeError):
+    """A bad feed_x: argparse prints the message for ``--feed-x``, and
+    ``main`` reports it as a usage error when it comes from a config file."""
+
+
 def _feed_x(text: str) -> float | None:
-    return None if text.strip().lower() == "auto" else float(text)
+    if text.strip().lower() == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise _FeedXError(f"feed_x takes a number (m) or auto, got {text!r}") from None
 
 
 _CONVERTERS = {

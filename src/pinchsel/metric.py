@@ -6,15 +6,20 @@ The solvers all maximise the scale-free quantity
 
 which orders activations identically to the worst-user rate: transmit power,
 path-loss scale and noise enter only as a positive multiplier inside
-log2(1 + x). Rates are attached at reporting time via :func:`rate_from_metric`
-or :func:`rate_report`. Every solver returns a :class:`SolverResult`.
+log2(1 + x). Rates are attached at reporting time via :func:`rate_from_metric`.
+
+:func:`worst_user_metric` is the array kernel with which the trellis, the
+greedy baseline and the best-singleton solver score candidates;
+:func:`maxmin_metric` is the scalar reference it is bit-identical to.
+Solvers carry boolean masks internally and build an :class:`ActivationVector`
+only for the :class:`SolverResult` they return.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -52,24 +57,10 @@ class ActivationVector:
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.mask) if b)
 
-    def with_added(self, index: int) -> "ActivationVector":
-        if self.mask[index]:
-            raise ValueError(f"antenna {index} is already active")
-        mask = list(self.mask)
-        mask[index] = 1
-        return ActivationVector(tuple(mask))
-
     @classmethod
     def singleton(cls, n_antennas: int, index: int) -> "ActivationVector":
         mask = [0] * n_antennas
         mask[index] = 1
-        return cls(tuple(mask))
-
-    @classmethod
-    def from_indices(cls, n_antennas: int, indices: Iterable[int]) -> "ActivationVector":
-        mask = [0] * n_antennas
-        for i in indices:
-            mask[i] = 1
         return cls(tuple(mask))
 
 
@@ -81,17 +72,6 @@ class SolverResult:
     metric: float
     evaluations: int
     trace: "VssTrace | None" = None
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Per-user diagnostics for one activation on one channel instance."""
-
-    accumulated: tuple[complex, ...]
-    metric: float
-    per_user_snr: tuple[float, ...]
-    per_user_rate: tuple[float, ...]
-    min_rate: float
 
 
 def _require_compatible(gains: np.ndarray, a: ActivationVector) -> None:
@@ -107,6 +87,13 @@ def metric_from_accumulated(accumulated: Sequence[complex], active_count: int) -
     """Worst-user |Z|^2 / count from an already-accumulated signal vector."""
     worst = min(z.real * z.real + z.imag * z.imag for z in accumulated)
     return worst / active_count
+
+
+def worst_user_metric(signals: np.ndarray, active: int) -> np.ndarray:
+    """Metric of each row of accumulated signals (users on the last axis):
+    min over users of re*re + im*im, over the active count. These are the IEEE
+    operations of ``metric_from_accumulated``, so results are bit-identical."""
+    return (signals.real * signals.real + signals.imag * signals.imag).min(axis=-1) / active
 
 
 def accumulated_signal(B: "ChannelMatrix | np.ndarray", a: ActivationVector) -> np.ndarray:
@@ -130,21 +117,3 @@ def snr_scale(config: SystemConfig) -> float:
 def rate_from_metric(config: SystemConfig, metric: float) -> float:
     """Worst-user achievable rate log2(1 + scale * metric) in bps/Hz."""
     return math.log2(1.0 + snr_scale(config) * metric)
-
-
-def rate_report(
-    config: SystemConfig, B: "ChannelMatrix | np.ndarray", a: ActivationVector
-) -> MetricReport:
-    """Evaluate SNRs and rates for one activation, power split equally."""
-    gains = as_gains(B)
-    z = accumulated_signal(gains, a)
-    power = (z.real**2 + z.imag**2) / a.active_count
-    snr = snr_scale(config) * power
-    rate = np.log2(1.0 + snr)
-    return MetricReport(
-        accumulated=tuple(z.tolist()),
-        metric=float(power.min()),
-        per_user_snr=tuple(snr.tolist()),
-        per_user_rate=tuple(rate.tolist()),
-        min_rate=float(rate.min()),
-    )

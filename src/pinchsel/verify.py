@@ -26,11 +26,12 @@ from .harness import derive_seed, run_trial
 from .metric import (
     ActivationVector,
     InvariantError,
+    SolverResult,
     accumulated_signal,
     maxmin_metric,
     rate_from_metric,
 )
-from .vss import Stage, bucket_codes, root_stage, stage_expand, vss_select
+from .vss import Stage, VssTrace, bucket_codes, root_stage, stage_expand, vss_select
 
 
 @dataclass(frozen=True)
@@ -162,27 +163,40 @@ def check_trellis_invariants(quick: bool, seed: int) -> tuple[bool, str]:
         n_bins = int(rng.choice([1, 2, 4, 8]))
         gains = _random_gains(rng, n_users, n_antennas)
 
-        # walk the trellis manually and validate each stage
+        # walk the trellis manually, validate each stage, and rebuild the
+        # result vss_select must return: two independent expansions agree
         stage = root_stage(n_antennas, n_users, n_bins)
+        evaluations, running_best, survivors = 0, [], []
+        best_metric, best_mask, best_stage = -math.inf, None, 0
         while len(stage):
+            evaluations += int(np.count_nonzero(~stage.masks))
             nxt = stage_expand(stage, gains, n_bins, verify_incremental=True)
             problems.extend(stage_problems(stage, nxt, gains, n_bins))
+            if len(nxt):
+                row = int(np.argmax(nxt.metrics))
+                if nxt.metrics[row] > best_metric:
+                    best_metric, best_mask = float(nxt.metrics[row]), nxt.masks[row]
+                    best_stage = len(running_best) + 1
+                running_best.append(best_metric)
+                survivors.append(len(nxt))
             stage = nxt
-
-        res1 = vss_select(gains, n_bins, verify_incremental=True)
-        res2 = vss_select(gains, n_bins)
-        if res1 != res2:
-            problems.append("non-deterministic trellis result")
+        trace = VssTrace(
+            tuple(running_best), len(running_best), best_stage, evaluations, tuple(survivors)
+        )
+        activation = ActivationVector(tuple(best_mask.tolist()))
+        res = vss_select(gains, n_bins)
+        if res != SolverResult(activation, best_metric, evaluations, trace):
+            problems.append("vss_select differs from the independent stage walk")
         brute = brute_force_select(gains)
         single = best_singleton(gains)
-        if not (brute.metric >= res1.metric >= single.metric):
+        if not (brute.metric >= res.metric >= single.metric):
             problems.append(
                 f"ordering violated: brute {brute.metric}, "
-                f"vss {res1.metric}, singleton {single.metric}"
+                f"vss {res.metric}, singleton {single.metric}"
             )
-        if list(res1.trace.running_best) != sorted(res1.trace.running_best):
+        if list(res.trace.running_best) != sorted(res.trace.running_best):
             problems.append("running best not non-decreasing")
-        if res1.metric != res1.trace.running_best[-1]:
+        if res.metric != res.trace.running_best[-1]:
             problems.append("best metric differs from final running best")
         if problems:
             break

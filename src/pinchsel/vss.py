@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
-from .metric import ActivationVector, InvariantError, SolverResult
+from .metric import ActivationVector, InvariantError, SolverResult, worst_user_metric
 
 # Cap on the (antennas x buckets x users) candidate block one stage may hold:
 # 2^24 complex entries is 256 MiB.
@@ -106,12 +106,6 @@ def _best_per_bucket(buckets: np.ndarray, metrics: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def _worst_user_metric(signals: np.ndarray, active: int) -> np.ndarray:
-    """min over users of re*re + im*im, over the active count: the IEEE
-    operations of ``metric_from_accumulated``, so results are bit-identical."""
-    return (signals.real * signals.real + signals.imag * signals.imag).min(axis=-1) / active
-
-
 def root_stage(n_antennas: int, n_users: int, n_bins: int) -> Stage:
     """Stage 0: the empty activation as a pure phase reference."""
     signals = np.zeros((1, n_users), dtype=complex)
@@ -137,7 +131,7 @@ def stage_expand(
     gains = as_gains(B)
     active = int(np.count_nonzero(stage.masks[0])) + 1
     z = stage.signals[None, :, :] + gains.T[:, None, :]  # (antenna, row, user)
-    cand = _worst_user_metric(z, active)
+    cand = worst_user_metric(z, active)
     # strict improvement gate; np.nonzero yields (antenna, parent row) order,
     # which decides ties within a bucket
     antenna, row = np.nonzero(~stage.masks.T & (cand > stage.metrics))
@@ -149,7 +143,7 @@ def stage_expand(
     signals = np.empty((len(row), gains.shape[0]), dtype=complex)
     for i, mask in enumerate(masks):
         signals[i] = gains[:, np.flatnonzero(mask)].sum(axis=1)
-    metrics = _worst_user_metric(signals, active)
+    metrics = worst_user_metric(signals, active)
     keep = metrics > stage.metrics[row]  # re-check the gate on the canonical value
     masks, signals, metrics, row = masks[keep], signals[keep], metrics[keep], row[keep]
     if verify_incremental:

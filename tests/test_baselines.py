@@ -12,6 +12,7 @@ from pinchsel.baselines import (
 )
 from pinchsel.channel import build_channel_matrix, sample_users
 from pinchsel.config import SystemConfig
+from pinchsel.harness import derive_seed
 from pinchsel.metric import ActivationVector, SolverResult, maxmin_metric
 from pinchsel.vss import vss_select
 
@@ -151,3 +152,166 @@ def test_cross_solver_ordering_random_batch():
         pgga = greedy_pgga_select(B).metric
         assert brute >= vss >= single
         assert brute >= pgga >= single
+
+
+def _parity_gains(kind, n_antennas, n_users, t):
+    """Seed-7 paper channels, lattice gains with exact ties, repeated columns."""
+    if kind == "paper":
+        cfg = SystemConfig(n_antennas=n_antennas, n_users=n_users)
+        users = sample_users(derive_seed(7, n_antennas, t), cfg)
+        return build_channel_matrix(cfg, users).gains
+    rng = np.random.default_rng([n_antennas, n_users, t])
+    shape = (n_users, n_antennas)
+    if kind == "lattice":
+        levels = np.array([-2.0, -1.0, 1.0, 2.0])
+        return levels[rng.integers(0, 4, shape)] + 1j * levels[rng.integers(0, 4, shape)]
+    base = rng.standard_normal((n_users, 3)) + 1j * rng.standard_normal((n_users, 3))
+    return base[:, rng.integers(0, 3, n_antennas)]
+
+
+# best_singleton and greedy_pgga_select fingerprints recorded from the
+# per-candidate ActivationVector loops this array implementation replaced:
+# (kind, N, M, trial, singleton metric hex, singleton indices, singleton
+# evaluations, greedy metric hex, greedy indices, greedy evaluations).
+PARITY = [
+    ('paper', 5, 1, 0, '0x1.6583a702a3e11p-7', (2,), 5, '0x1.233681e38cb05p-6',
+     (0, 1, 2, 3), 9),
+    ('paper', 5, 1, 1, '0x1.84102fd7efd90p-9', (2,), 5, '0x1.565b4968fa3cbp-8', (1, 2),
+     7),
+    ('paper', 5, 1, 2, '0x1.075a3c11c9447p-9', (4,), 5, '0x1.075a3c11c9447p-9', (4,), 6),
+    ('paper', 5, 2, 0, '0x1.e0b46a7114b5ap-9', (2,), 5, '0x1.9e682710f782dp-8',
+     (0, 2, 3), 8),
+    ('paper', 5, 2, 1, '0x1.6a9488288957dp-9', (2,), 5, '0x1.565b4968fa3cbp-8', (1, 2),
+     7),
+    ('paper', 5, 2, 2, '0x1.8a1c0de435875p-10', (3,), 5, '0x1.29cac2825d0b7p-9',
+     (0, 1, 3), 8),
+    ('paper', 5, 3, 0, '0x1.e0b46a7114b5ap-9', (2,), 5, '0x1.136c0a46e1311p-8', (0, 2),
+     7),
+    ('paper', 5, 3, 1, '0x1.6a9488288957dp-9', (2,), 5, '0x1.6a9488288957dp-9', (2,), 6),
+    ('paper', 5, 3, 2, '0x1.8a1c0de435875p-10', (3,), 5, '0x1.8a1c0de435875p-10', (3,),
+     6),
+    ('paper', 20, 1, 0, '0x1.6e04ed9e8a15ep-9', (5,), 20, '0x1.a1b0f26ba16cbp-7',
+     (0, 3, 4, 5, 6, 8, 14, 18), 28),
+    ('paper', 20, 1, 1, '0x1.e7ba4bd0e1f26p-8', (9,), 20, '0x1.19e966a4f9d8dp-6',
+     (1, 5, 6, 8, 9), 25),
+    ('paper', 20, 1, 2, '0x1.6230f3a7ef53fp-9', (0,), 20, '0x1.c1a02dec84c88p-8',
+     (0, 2, 4, 12), 24),
+    ('paper', 20, 2, 0, '0x1.588e5d52fd615p-9', (3,), 20, '0x1.14737c290f821p-8',
+     (3, 5), 22),
+    ('paper', 20, 2, 1, '0x1.020e324aef885p-8', (5,), 20, '0x1.3eb442b705b2ap-7',
+     (0, 2, 5, 11, 14), 25),
+    ('paper', 20, 2, 2, '0x1.fec9d42a2ea2ap-10', (5,), 20, '0x1.84cba685a4798p-8',
+     (1, 5, 6, 9), 24),
+    ('paper', 20, 3, 0, '0x1.588e5d52fd615p-9', (3,), 20, '0x1.14737c290f821p-8',
+     (3, 5), 22),
+    ('paper', 20, 3, 1, '0x1.14f716a252cc2p-9', (10,), 20, '0x1.7e20f4d4feeeep-9',
+     (8, 10), 22),
+    ('paper', 20, 3, 2, '0x1.66bc06736565fp-10', (7,), 20, '0x1.6dbdb8d7298f4p-9',
+     (7, 10, 15), 23),
+    ('paper', 50, 1, 0, '0x1.f4cb39ca23aefp-8', (2,), 50, '0x1.85cdc1af12b01p-5',
+     (0, 1, 2, 5, 6, 7, 9, 12, 17, 18, 19, 21), 62),
+    ('paper', 50, 1, 1, '0x1.e93423afa8e82p-10', (0,), 50, '0x1.820fd510a0dd2p-7',
+     (0, 1, 4, 8, 9, 10, 21, 23, 25, 27, 28, 34, 37, 39, 41, 45, 46, 48, 49), 69),
+    ('paper', 50, 1, 2, '0x1.b8b28bba8421bp-10', (36,), 50, '0x1.634ab2ce72b24p-6',
+     (2, 7, 8, 9, 10, 12, 13, 20, 21, 22, 24, 25, 26, 27, 28, 31, 34, 35, 36, 37, 39,
+      40, 41, 46, 47, 49),
+     76),
+    ('paper', 50, 2, 0, '0x1.d6f39ce71e0fep-9', (14,), 50, '0x1.246d69d9482a9p-6',
+     (2, 5, 9, 14, 19, 21, 22, 34, 42), 59),
+    ('paper', 50, 2, 1, '0x1.1855b8d0a205ap-10', (20,), 50, '0x1.b83c79a2f35b2p-8',
+     (6, 7, 11, 12, 14, 19, 20, 30, 31, 33, 35, 42, 44), 63),
+    ('paper', 50, 2, 2, '0x1.b8b28bba8421bp-10', (36,), 50, '0x1.e64f10467cca2p-8',
+     (8, 25, 27, 31, 32, 36, 37, 44), 58),
+    ('paper', 50, 3, 0, '0x1.2a8a9c1d064adp-9', (20,), 50, '0x1.7e64ebe166c3cp-9',
+     (20, 40, 44), 53),
+    ('paper', 50, 3, 1, '0x1.1855b8d0a205ap-10', (20,), 50, '0x1.1855b8d0a205ap-10',
+     (20,), 51),
+    ('paper', 50, 3, 2, '0x1.978a7a444d5b1p-10', (29,), 50, '0x1.978a7a444d5b1p-10',
+     (29,), 51),
+    ('lattice', 5, 1, 0, '0x1.0000000000000p+3', (1,), 5, '0x1.4555555555555p+4',
+     (1, 2, 4), 8),
+    ('lattice', 5, 1, 1, '0x1.0000000000000p+3', (0,), 5, '0x1.2000000000000p+3',
+     (0, 3), 7),
+    ('lattice', 5, 2, 0, '0x1.0000000000000p+3', (4,), 5, '0x1.0000000000000p+3', (4,),
+     6),
+    ('lattice', 5, 2, 1, '0x1.4000000000000p+2', (1,), 5, '0x1.4000000000000p+2', (1,),
+     6),
+    ('lattice', 5, 3, 0, '0x1.4000000000000p+2', (1,), 5, '0x1.4000000000000p+2', (1,),
+     6),
+    ('lattice', 5, 3, 1, '0x1.4000000000000p+2', (0,), 5, '0x1.4000000000000p+2', (0,),
+     6),
+    ('lattice', 20, 1, 0, '0x1.0000000000000p+3', (0,), 20, '0x1.d000000000000p+4',
+     (0, 1, 6, 7, 14, 15, 18, 19), 28),
+    ('lattice', 20, 1, 1, '0x1.0000000000000p+3', (0,), 20, '0x1.5555555555555p+4',
+     (0, 2, 5, 6, 11, 16), 26),
+    ('lattice', 20, 2, 0, '0x1.4000000000000p+2', (0,), 20, '0x1.a800000000000p+3',
+     (0, 2, 9, 14), 24),
+    ('lattice', 20, 2, 1, '0x1.0000000000000p+3', (5,), 20, '0x1.1555555555555p+4',
+     (3, 4, 5, 9, 15, 17), 26),
+    ('lattice', 20, 3, 0, '0x1.4000000000000p+2', (0,), 20, '0x1.2000000000000p+3',
+     (0, 5, 12, 13), 24),
+    ('lattice', 20, 3, 1, '0x1.0000000000000p+3', (16,), 20, '0x1.0000000000000p+3',
+     (16,), 21),
+    ('lattice', 50, 1, 0, '0x1.0000000000000p+3', (10,), 50, '0x1.1440000000000p+6',
+     (1, 5, 7, 8, 9, 10, 13, 19, 21, 22, 23, 30, 32, 43, 45, 49), 66),
+    ('lattice', 50, 1, 1, '0x1.0000000000000p+3', (3,), 50, '0x1.0880000000000p+6',
+     (2, 3, 8, 10, 11, 15, 17, 18, 28, 30, 31, 37, 41, 42, 46, 48), 66),
+    ('lattice', 50, 2, 0, '0x1.0000000000000p+3', (28,), 50, '0x1.ea2e8ba2e8ba3p+4',
+     (3, 6, 7, 16, 19, 26, 28, 30, 36, 47, 48), 61),
+    ('lattice', 50, 2, 1, '0x1.0000000000000p+3', (28,), 50, '0x1.819999999999ap+4',
+     (2, 3, 5, 13, 18, 19, 23, 26, 28, 36), 60),
+    ('lattice', 50, 3, 0, '0x1.4000000000000p+2', (1,), 50, '0x1.a000000000000p+2',
+     (1, 25), 52),
+    ('lattice', 50, 3, 1, '0x1.0000000000000p+3', (10,), 50, '0x1.4000000000000p+4',
+     (0, 10, 19, 46, 49), 55),
+    ('repeated', 5, 1, 0, '0x1.e944a42478f24p+0', (0,), 5, '0x1.65f980e7cd94ep+1',
+     (0, 2), 7),
+    ('repeated', 5, 1, 1, '0x1.cf38a1a754f58p+1', (1,), 5, '0x1.26982bab09d98p+3',
+     (0, 1, 2, 4), 9),
+    ('repeated', 5, 2, 0, '0x1.38738d932e889p+1', (0,), 5, '0x1.38738d932e889p+1', (0,),
+     6),
+    ('repeated', 5, 2, 1, '0x1.107817fde78aap+2', (1,), 5, '0x1.98b423fcdb4fdp+3',
+     (1, 2, 4), 8),
+    ('repeated', 5, 3, 0, '0x1.6339f21ce9d4ep-3', (0,), 5, '0x1.6339f21ce9d4ep-3', (0,),
+     6),
+    ('repeated', 5, 3, 1, '0x1.39800de6e2e85p+0', (0,), 5, '0x1.50248b8b72067p+0',
+     (0, 1), 7),
+    ('repeated', 20, 1, 0, '0x1.525aa703c36c2p-1', (3,), 20, '0x1.101abc06c2685p+3',
+     (1, 3, 4, 6, 7, 9, 10, 11, 12, 13, 16, 17, 18, 19), 34),
+    ('repeated', 20, 1, 1, '0x1.2f7b49bcfdcfbp+2', (2,), 20, '0x1.7b5a1c2c3d43ap+4',
+     (2, 3, 6, 9, 18), 25),
+    ('repeated', 20, 2, 0, '0x1.cfefd9fa26d2ap+0', (0,), 20, '0x1.e477485f39ce0p+3',
+     (0, 2, 3, 4, 5, 7, 10, 12, 13, 14, 17, 18, 19), 33),
+    ('repeated', 20, 2, 1, '0x1.1b393147b5e19p+2', (6,), 20, '0x1.62077d99a359ep+4',
+     (6, 7, 8, 16, 19), 25),
+    ('repeated', 20, 3, 0, '0x1.6ebd0b1f66ac2p-1', (4,), 20, '0x1.ba534933a8a28p+2',
+     (3, 4, 5, 6, 8, 9, 11, 12, 13, 14, 17, 18), 32),
+    ('repeated', 20, 3, 1, '0x1.31b6abc86220cp+0', (0,), 20, '0x1.7e2456ba7aa8fp+3',
+     (0, 1, 4, 6, 9, 10, 13, 15, 16, 19), 30),
+    ('repeated', 50, 1, 0, '0x1.970e0acdd3e5dp+1', (0,), 50, '0x1.7d9d2a20f6a79p+5',
+     (0, 9, 14, 17, 18, 21, 22, 24, 30, 31, 33, 34, 45, 47, 49), 65),
+    ('repeated', 50, 1, 1, '0x1.eff8f6ca04766p+1', (3,), 50, '0x1.d0f9675d642efp+5',
+     (3, 5, 7, 16, 18, 20, 24, 29, 33, 36, 37, 40, 41, 43, 49), 65),
+    ('repeated', 50, 2, 0, '0x1.e03af06b09e0bp+0', (11,), 50, '0x1.682c34504768dp+4',
+     (11, 14, 16, 19, 22, 23, 25, 28, 36, 41, 42, 45), 62),
+    ('repeated', 50, 2, 1, '0x1.30cd83480ec09p+0', (2,), 50, '0x1.297a51c3c3048p+5',
+     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 19, 20, 23, 24, 25, 26,
+      27, 28, 29, 31, 32, 33, 34, 36, 37, 38, 40, 41, 46, 47, 48),
+     88),
+    ('repeated', 50, 3, 0, '0x1.cc547290f8ef7p-2', (0,), 50, '0x1.af8f2b67e9609p+2',
+     (0, 1, 7, 8, 11, 12, 21, 22, 27, 28, 29, 34, 38, 44, 46), 65),
+    ('repeated', 50, 3, 1, '0x1.20c7b95c70a1ep-1', (15,), 50, '0x1.d5448d363706fp+2',
+     (15, 19, 20, 25, 30, 32, 38, 42, 43, 45, 46, 47, 48), 63),
+]
+
+
+@pytest.mark.parametrize("kind", ["paper", "lattice", "repeated"])
+def test_parity_with_recorded_fingerprints(kind):
+    rows = [row for row in PARITY if row[0] == kind]
+    assert rows
+    for _, n_antennas, n_users, t, *expected in rows:
+        gains = _parity_gains(kind, n_antennas, n_users, t)
+        got = []
+        for res in (best_singleton(gains), greedy_pgga_select(gains)):
+            got += [res.metric.hex(), res.activation.indices, res.evaluations]
+        assert got == expected, (kind, n_antennas, n_users, t)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pinchsel.vss
-from pinchsel import harness
+from pinchsel import harness, verify
 from pinchsel.cli import main, parse_n_values, parse_solvers
 from pinchsel.config import SystemConfig, dbm_to_watts, watts_to_dbm
 from pinchsel.harness import ExperimentSpec, run_sweep
@@ -254,6 +254,20 @@ class TestConfigFile:
         assert auto_dat == (out_c / "vss_rate_vs_N.dat").read_bytes()
         assert b"feed_x=auto" in auto_dat
 
+    def test_bad_feed_x_in_file_names_the_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("n = 4\nfeed_x = abc\n")
+        assert main(["sweep", "--config", str(cfg_file), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: feed_x takes a number (m) or auto, got 'abc'\n"
+
+
+def test_bad_feed_x_flag_says_number_or_auto(tmp_path, capsys):
+    assert main(["sweep", "--n", "4", "--feed-x", "abc", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "argument --feed-x: feed_x takes a number (m) or auto, got 'abc'" in err
+    assert "_feed_x" not in err and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_quick_verify_passes(self, capsys):
@@ -271,6 +285,18 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 2
         assert "[FAIL]" in out
+
+    def test_trellis_result_off_the_stage_walk_fails(self, monkeypatch):
+        real = verify.vss_select
+
+        def perturbed(gains, n_bins):
+            res = real(gains, n_bins)
+            return dataclasses.replace(res, metric=math.nextafter(res.metric, 0.0))
+
+        monkeypatch.setattr(verify, "vss_select", perturbed)
+        passed, detail = verify.check_trellis_invariants(quick=True, seed=7)
+        assert not passed
+        assert "differs from the independent stage walk" in detail
 
     def test_invariant_breach_fails_its_check_and_battery_goes_on(
         self, monkeypatch, capsys
@@ -314,4 +340,33 @@ def test_invariant_violation_exits_two(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "exceeds trellis metric" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "solvers,metric,message",
+    [
+        ("brute,pgga", math.inf, "greedy metric inf exceeds exhaustive optimum"),
+        ("pgga,singleton", -math.inf, "exceeds greedy metric -inf"),
+    ],
+)
+def test_greedy_ordering_violation_exits_two(
+    solvers, metric, message, monkeypatch, capsys, tmp_path
+):
+    # greedy starts from the best singleton and can never beat the oracle
+    real = harness.greedy_pgga_select
+    monkeypatch.setattr(
+        harness,
+        "greedy_pgga_select",
+        lambda B: dataclasses.replace(real(B), metric=metric),
+    )
+    rc = main(
+        [
+            "sweep", "--n", "6", "--solvers", solvers, "--trials", "1",
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
     assert "Traceback" not in err

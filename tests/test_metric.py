@@ -1,4 +1,4 @@
-"""Objective and rate-report tests."""
+"""Objective, kernel and rate tests."""
 
 import math
 from dataclasses import replace
@@ -15,8 +15,8 @@ from pinchsel.metric import (
     accumulated_signal,
     maxmin_metric,
     rate_from_metric,
-    rate_report,
     snr_scale,
+    worst_user_metric,
 )
 
 
@@ -40,17 +40,10 @@ class TestActivationVector:
         with pytest.raises(ValueError):
             ActivationVector(())
 
-    def test_singleton_and_with_added(self):
+    def test_singleton(self):
         a = ActivationVector.singleton(4, 2)
         assert a.mask == (0, 0, 1, 0)
-        b = a.with_added(0)
-        assert b.mask == (1, 0, 1, 0)
-        assert a.mask == (0, 0, 1, 0)  # original untouched
-        with pytest.raises(ValueError):
-            b.with_added(0)
-
-    def test_from_indices(self):
-        assert ActivationVector.from_indices(5, (4, 1)).mask == (0, 1, 0, 0, 1)
+        assert a.active_count == 1
 
 
 class TestAccumulatedSignal:
@@ -110,36 +103,58 @@ class TestMaxminMetric:
         assert maxmin_metric(B, ActivationVector((1, 0))) > 0.0
 
 
+class TestWorstUserMetric:
+    def test_bit_identical_to_scalar_reference(self):
+        B = _random_gains(31, 3, 9)
+        rng = np.random.default_rng(32)
+        for k in range(1, 10):
+            masks = [rng.permutation(9) < k for _ in range(5)]
+            signals = np.array([B[:, mask].sum(axis=1) for mask in masks])
+            want = [maxmin_metric(B, ActivationVector(tuple(m.tolist()))) for m in masks]
+            assert worst_user_metric(signals, k).tolist() == want
+
+    def test_singletons_are_columns(self):
+        B = _random_gains(33, 2, 6)
+        metrics = worst_user_metric(B.T, 1)
+        for n in range(6):
+            assert metrics[n] == maxmin_metric(B, ActivationVector.singleton(6, n))
+
+
+def _literal_min_rate(cfg, B, a):
+    """Worst-user rate from per-user SNRs with the power split equally."""
+    z = accumulated_signal(B, a)
+    snr = snr_scale(cfg) * (z.real**2 + z.imag**2) / a.active_count
+    return float(np.log2(1.0 + snr).min())
+
+
 class TestRateReport:
+    """Worst-user rates reported through rate_from_metric."""
+
     def test_cancelled_user_gets_zero_rate(self):
         cfg = SystemConfig(n_antennas=2, n_users=2)
         B = np.array([[1.0 + 0j, 1.0 + 0j], [1.0 + 0j, -1.0 + 0j]])
-        report = rate_report(cfg, B, ActivationVector((1, 1)))
-        assert report.per_user_rate[1] == 0.0
-        assert report.min_rate == 0.0
-        assert report.metric == 0.0
+        metric = maxmin_metric(B, ActivationVector((1, 1)))
+        assert metric == 0.0
+        assert rate_from_metric(cfg, metric) == 0.0
 
     def test_doubling_power_doubles_snr_not_metric(self):
         cfg = SystemConfig(n_antennas=6, n_users=2)
-        B = _random_gains(5, 2, 6)
-        a = ActivationVector((1, 0, 1, 1, 0, 1))
-        r1 = rate_report(cfg, B, a)
-        r2 = rate_report(replace(cfg, tx_power=2 * cfg.tx_power), B, a)
-        for s1, s2 in zip(r1.per_user_snr, r2.per_user_snr):
-            assert s2 == pytest.approx(2 * s1, rel=1e-12)
-        assert r2.metric == r1.metric
-        assert np.argmin(r1.per_user_snr) == np.argmin(r2.per_user_snr)
+        doubled = replace(cfg, tx_power=2 * cfg.tx_power)
+        assert snr_scale(doubled) == pytest.approx(2 * snr_scale(cfg), rel=1e-12)
+        metric = maxmin_metric(_random_gains(5, 2, 6), ActivationVector((1, 0, 1, 1, 0, 1)))
+        assert rate_from_metric(doubled, metric) == pytest.approx(
+            math.log2(1.0 + 2 * snr_scale(cfg) * metric), rel=1e-12
+        )
 
     def test_min_rate_consistent_with_metric_path(self):
         cfg = SystemConfig(n_antennas=10, n_users=1)
         B = build_channel_matrix(cfg, sample_users(77, cfg))
         a = ActivationVector((1, 1, 0, 0, 1, 0, 1, 0, 0, 1))
-        report = rate_report(cfg, B, a)
-        expected = math.log2(1.0 + snr_scale(cfg) * maxmin_metric(B, a))
-        assert report.min_rate == pytest.approx(expected, rel=1e-12)
-        assert report.min_rate == pytest.approx(
-            rate_from_metric(cfg, report.metric), rel=1e-15
+        rate = rate_from_metric(cfg, maxmin_metric(B, a))
+        assert rate == pytest.approx(
+            math.log2(1.0 + snr_scale(cfg) * maxmin_metric(B, a)), rel=1e-15
         )
+        assert rate == pytest.approx(_literal_min_rate(cfg, B, a), rel=1e-12)
 
 
 def test_metric_orders_like_min_rate():
@@ -155,7 +170,7 @@ def test_metric_orders_like_min_rate():
                 masks.append(mask)
         a1, a2 = ActivationVector(masks[0]), ActivationVector(masks[1])
         dm = maxmin_metric(B, a1) - maxmin_metric(B, a2)
-        dr = rate_report(cfg, B, a1).min_rate - rate_report(cfg, B, a2).min_rate
+        dr = _literal_min_rate(cfg, B, a1) - _literal_min_rate(cfg, B, a2)
         assert math.copysign(1, dm) == math.copysign(1, dr) or dm == dr == 0.0
 
 

@@ -182,11 +182,11 @@ class TestStageExpand:
         """All (parent, extension) pairs, gate-filtered, grouped by bucket."""
         best = {}
         for mask, parent_metric in zip(stage.masks, stage.metrics.tolist()):
-            parent = ActivationVector(tuple(mask.tolist()))
+            parent = mask.tolist()
             for n in range(gains.shape[1]):
-                if parent.mask[n]:
+                if parent[n]:
                     continue
-                act = parent.with_added(n)
+                act = ActivationVector(tuple(parent[:n] + [True] + parent[n + 1 :]))
                 z = accumulated_signal(gains, act)
                 metric = metric_from_accumulated(z.tolist(), act.active_count)
                 if metric <= parent_metric:
