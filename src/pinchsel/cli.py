@@ -175,6 +175,18 @@ _CONVERTERS = {
 }
 
 
+def _convert_file_value(key: str, text: str):
+    """Convert one config-file value; a bad number names its key."""
+    convert = _CONVERTERS[key]
+    try:
+        return convert(text)
+    except _FeedXError:
+        raise
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"config key {key}: expected {kind}, got {text!r}") from None
+
+
 def _resolve(args: argparse.Namespace, need_solvers: bool) -> CliConfig:
     file_vals: dict[str, str] = {}
     if hasattr(args, "config"):
@@ -187,7 +199,7 @@ def _resolve(args: argparse.Namespace, need_solvers: bool) -> CliConfig:
         if hasattr(args, key):  # flags left unset are absent, not None
             return getattr(args, key)
         if key in file_vals:
-            return _CONVERTERS[key](file_vals[key])
+            return _convert_file_value(key, file_vals[key])
         return _DEFAULTS.get(key)
 
     n_text = pick("n")

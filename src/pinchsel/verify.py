@@ -31,7 +31,7 @@ from .metric import (
     maxmin_metric,
     rate_from_metric,
 )
-from .vss import Stage, VssTrace, bucket_codes, root_stage, stage_expand, vss_select
+from .vss import Stage, VssTrace, root_stage, stage_expand, vss_select
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,9 @@ def _interval_bin_oracle(phi: float, n_bins: int) -> int:
 
 
 def check_quantizer_edges(quick: bool, seed: int) -> tuple[bool, str]:
+    """Bin probe angles with the scalar quantizer and with the trellis's array
+    binning: mid-bin probes take the array path, edge + eps probes its scalar
+    edge fallback."""
     quant = vss_mod.quantize_phase
     eps = 1e-9
     failures = 0
@@ -73,6 +76,10 @@ def check_quantizer_edges(quick: bool, seed: int) -> tuple[bool, str]:
                 want = _interval_bin_oracle(phi + offset, n_bins)
                 if got != want or not 0 <= got < n_bins:
                     failures += 1
+        wants = [_interval_bin_oracle(phi, n_bins) for phi in probes]
+        gots = vss_mod.bucket_codes(np.exp(1j * np.array(probes))[:, None], n_bins)
+        cases += len(probes)
+        failures += sum(got != want for got, want in zip(gots.tolist(), wants))
     return failures == 0, f"{cases - failures}/{cases} probe angles binned correctly"
 
 
@@ -130,8 +137,10 @@ def stage_problems(prev: Stage, nxt: Stage, gains: np.ndarray, n_bins: int) -> l
     """Every per-stage invariant that ``nxt``, expanded from ``prev``, breaks:
     buckets unique, ascending and in [0, Q^M); metrics strictly above the
     parent row's; each bucket that of the canonical signal of its mask; each
-    metric bit-identical to ``maxmin_metric``."""
+    metric bit-identical to ``maxmin_metric``. The canonical bucket comes from
+    the scalar ``quantize_phase``, not from the ``bucket_codes`` under check."""
     n_buckets = n_bins ** gains.shape[0]
+    quant = vss_mod.quantize_phase
     problems: list[str] = []
     if len(nxt) > n_buckets:
         problems.append(f"{len(nxt)} survivors for {n_buckets} buckets")
@@ -145,9 +154,11 @@ def stage_problems(prev: Stage, nxt: Stage, gains: np.ndarray, n_bins: int) -> l
             problems.append(f"bucket {bucket} outside [0, {n_buckets})")
         if not (0 <= parent < len(prev) and metric > prev.metrics[parent]):
             problems.append("non-increasing metric along a path")
-        canonical = bucket_codes(accumulated_signal(gains, activation)[None, :], n_bins)
-        if bucket != canonical[0]:
-            problems.append(f"bucket {bucket} differs from its signal's {canonical[0]}")
+        canonical = 0
+        for z in accumulated_signal(gains, activation).tolist():
+            canonical = canonical * n_bins + quant(math.atan2(z.imag, z.real), n_bins)
+        if bucket != canonical:
+            problems.append(f"bucket {bucket} differs from its signal's {canonical}")
         if metric != maxmin_metric(gains, activation):
             problems.append(f"metric {metric!r} differs from maxmin_metric")
     return problems

@@ -34,6 +34,10 @@ from .metric import ActivationVector, InvariantError, SolverResult, worst_user_m
 # 2^24 complex entries is 256 MiB.
 MAX_BLOCK_ENTRIES = 2**24
 
+# Half-width of the band around each bin edge that ``bucket_codes`` hands to
+# the scalar quantizer, as a fraction of a full turn.
+EDGE_TOL = 1e-6
+
 
 def check_block_size(n_antennas: int, n_bins: int, n_users: int) -> None:
     """Raise ``ValueError`` when the candidate block one stage screens
@@ -62,14 +66,25 @@ def quantize_phase(phi: float, n_bins: int) -> int:
 
 def bucket_codes(signals: np.ndarray, n_bins: int) -> np.ndarray:
     """Bucket of each row of an (S, M) signal array; a zero signal counts as
-    phase 0. Binning is scalar ``math.atan2``, not ``np.arctan2``, which can
-    differ in the last bit at a bin edge."""
-    quant = quantize_phase  # looked up per call, so a rebinding takes effect
-    digits = np.array(
-        [quant(math.atan2(z.imag, z.real), n_bins) for z in signals.ravel().tolist()],
-        dtype=np.int64,
-    ).reshape(signals.shape)
-    return digits @ n_bins ** np.arange(signals.shape[1] - 1, -1, -1, dtype=np.int64)
+    phase 0. Digits come from ``np.arctan2`` and the formula of
+    ``quantize_phase``; an entry within ``EDGE_TOL * n_bins`` bins of a bin
+    edge (the wrap included) is re-binned by the scalar
+    ``quantize_phase(math.atan2(...))``, so the result equals the scalar path
+    even where numpy and libm differ in the last bit."""
+    phi = np.arctan2(signals.imag, signals.real)
+    pos = ((phi + math.pi) % math.tau) / math.tau * n_bins
+    digits = np.minimum(pos.astype(np.int64), n_bins - 1)
+    # written back by (row, column): a reshape of a strided input is a copy
+    rows, cols = np.nonzero(~(np.abs(pos - np.rint(pos)) > EDGE_TOL * n_bins))
+    if len(rows):  # NaN lands here too, and quantize_phase rejects it
+        quant = quantize_phase  # looked up per call, so a rebinding takes effect
+        digits[rows, cols] = [
+            quant(math.atan2(z.imag, z.real), n_bins) for z in signals[rows, cols].tolist()
+        ]
+    codes = digits[:, 0]
+    for user in range(1, digits.shape[1]):  # user 0 is the most significant digit
+        codes = codes * n_bins + digits[:, user]
+    return codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,15 +135,17 @@ def root_stage(n_antennas: int, n_users: int, n_bins: int) -> Stage:
 
 def stage_expand(
     stage: Stage,
-    B: "ChannelMatrix | np.ndarray",
+    gains: np.ndarray,
     n_bins: int,
     verify_incremental: bool = False,
 ) -> Stage:
     """Expand one stage into the next: screen every (antenna, parent row)
-    extension at once, keep the best per bucket, rebuild the winners."""
+    extension at once, keep the best per bucket, rebuild the winners.
+
+    ``gains`` is the validated (M, N) complex array of ``as_gains``; it is not
+    checked again here, because ``vss_select`` calls this once per stage."""
     if not len(stage):
         raise ValueError("stage must be non-empty")
-    gains = as_gains(B)
     active = int(np.count_nonzero(stage.masks[0])) + 1
     z = stage.signals[None, :, :] + gains.T[:, None, :]  # (antenna, row, user)
     cand = worst_user_metric(z, active)
@@ -140,9 +157,11 @@ def stage_expand(
 
     masks = stage.masks[row]
     masks[np.arange(len(row)), antenna] = True
-    signals = np.empty((len(row), gains.shape[0]), dtype=complex)
-    for i, mask in enumerate(masks):
-        signals[i] = gains[:, np.flatnonzero(mask)].sum(axis=1)
+    # every row has ``active`` antennas, so the nonzero columns reshape to one
+    # ascending index row per survivor; the gathered sum adds each row's terms
+    # in the order of ``gains[:, indices].sum(axis=1)``, bit for bit
+    idx = np.nonzero(masks)[1].reshape(len(row), active)
+    signals = gains[:, idx].sum(axis=2).T
     metrics = worst_user_metric(signals, active)
     keep = metrics > stage.metrics[row]  # re-check the gate on the canonical value
     masks, signals, metrics, row = masks[keep], signals[keep], metrics[keep], row[keep]

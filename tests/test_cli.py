@@ -261,6 +261,21 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err == "error: feed_x takes a number (m) or auto, got 'abc'\n"
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("trials = abc", "config key trials: expected an integer, got 'abc'"),
+            ("users = 1.5", "config key users: expected an integer, got '1.5'"),
+            ("power_dbm = loud", "config key power_dbm: expected a number, got 'loud'"),
+        ],
+    )
+    def test_bad_number_in_file_names_the_key(self, line, message, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n = 4\n{line}\n")
+        assert main(["sweep", "--config", str(cfg_file), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.dat"))
+
 
 def test_bad_feed_x_flag_says_number_or_auto(tmp_path, capsys):
     assert main(["sweep", "--n", "4", "--feed-x", "abc", "--out-dir", str(tmp_path)]) == 1
@@ -285,6 +300,17 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 2
         assert "[FAIL]" in out
+
+    def test_broken_array_binning_fails_verification(self, monkeypatch, capsys):
+        # the trellis bins with np.arctan2 and falls back to the scalar
+        # quantizer only near bin edges; a 1 rad shift moves every mid-bin
+        # probe at Q >= 4 into another bin, away from any edge
+        real = np.arctan2
+        monkeypatch.setattr(np, "arctan2", lambda y, x: real(y, x) + 1.0)
+        rc = main(["verify", "--quick"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "[FAIL] quantizer-edge-sweep" in out
 
     def test_trellis_result_off_the_stage_walk_fails(self, monkeypatch):
         real = verify.vss_select

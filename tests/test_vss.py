@@ -13,7 +13,14 @@ from pinchsel.config import SystemConfig
 from pinchsel.harness import derive_seed
 from pinchsel.metric import ActivationVector, accumulated_signal, metric_from_accumulated
 from pinchsel.verify import stage_problems
-from pinchsel.vss import bucket_codes, quantize_phase, root_stage, stage_expand, vss_select
+from pinchsel.vss import (
+    Stage,
+    bucket_codes,
+    quantize_phase,
+    root_stage,
+    stage_expand,
+    vss_select,
+)
 
 
 def _random_gains(seed, n_users, n_antennas):
@@ -82,6 +89,85 @@ class TestStateOf:
 
     def test_zero_signal_convention(self):
         assert bucket_codes(np.array([[0j]]), 4).tolist() == [2]
+
+
+def _scalar_bucket_codes(signals, n_bins):
+    """Reference binning: one scalar quantize_phase(math.atan2(...)) per entry."""
+    codes = []
+    for row in signals.tolist():
+        code = 0
+        for z in row:
+            code = code * n_bins + quantize_phase(math.atan2(z.imag, z.real), n_bins)
+        codes.append(code)
+    return codes
+
+
+def _special_signals(n_bins):
+    """Exact bin edges and their one-ulp neighbours, axis and diagonal angles,
+    and signed-zero components."""
+    angles = [-math.pi + 2.0 * math.pi * k / n_bins for k in range(n_bins + 1)]
+    angles += [math.nextafter(a, d) for a in angles for d in (-math.inf, math.inf)]
+    angles += [k * math.pi / 4 for k in range(-4, 5)]
+    values = [complex(r * math.cos(a), r * math.sin(a)) for a in angles for r in (1e-3, 1.0, 7.5)]
+    values += [complex(re, im) for re in (0.0, -0.0, 1.0, -1.0) for im in (0.0, -0.0, 2.0, -2.0)]
+    return np.array(values)
+
+
+class TestBucketCodes:
+    @pytest.mark.parametrize("n_bins", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("n_users", [1, 2, 3])
+    def test_matches_scalar_quantizer(self, n_bins, n_users):
+        rng = np.random.default_rng(100 * n_bins + n_users)
+        special = _special_signals(n_bins)
+        blocks = [
+            rng.standard_normal((2000, n_users)) + 1j * rng.standard_normal((2000, n_users)),
+            special[rng.integers(0, len(special), (2000, n_users))],
+        ]
+        blocks.append(blocks[1].T.copy().T)  # Fortran order
+        blocks.append(blocks[0][::3])  # strided rows
+        for signals in blocks:
+            assert bucket_codes(signals, n_bins).tolist() == _scalar_bucket_codes(
+                signals, n_bins
+            )
+
+    @pytest.mark.parametrize("shift", [-1e-12, 1e-12])
+    def test_edges_do_not_trust_array_arctan2(self, shift, monkeypatch):
+        # np.arctan2 may differ from libm's atan2 in the last bits; a small
+        # error must not move an edge value, because the scalar path bins it
+        special = _special_signals(16)[:, None]
+        want = {n_bins: _scalar_bucket_codes(special, n_bins) for n_bins in (2, 3, 4, 8, 16)}
+        real = np.arctan2
+        monkeypatch.setattr(np, "arctan2", lambda y, x: real(y, x) + shift)
+        for n_bins, codes in want.items():
+            assert bucket_codes(special, n_bins).tolist() == codes
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    def test_nonfinite_signal_rejected(self):
+        with pytest.raises(ValueError):
+            bucket_codes(np.array([[complex(math.nan, 1.0)]]), 4)
+
+
+@pytest.mark.parametrize("n_users", [1, 2, 3])
+@pytest.mark.parametrize("active", [1, 3, 4, 5, 8, 63, 64, 65, 130])
+def test_rebuild_matches_per_row_sum(active, n_users):
+    # stage_expand's one-gather canonical rebuild against the per-row sum it
+    # replaced, at lengths around numpy's pairwise-summation blocks
+    rng = np.random.default_rng(active * 10 + n_users)
+    n_antennas = active + 7
+    gains = rng.standard_normal((n_users, n_antennas)) * 10.0 ** rng.uniform(
+        -6, 6, (n_users, n_antennas)
+    ) + 1j * rng.standard_normal((n_users, n_antennas))
+    masks = np.zeros((9, n_antennas), dtype=bool)
+    for mask in masks:
+        mask[rng.choice(n_antennas, active - 1, replace=False)] = True
+    signals = np.array([gains[:, np.flatnonzero(mask)].sum(axis=1) for mask in masks])
+    # zero parent metrics let every extension through the gate
+    stage = Stage(masks, signals, np.zeros(len(masks)), np.arange(len(masks)), np.full(9, -1))
+    nxt = stage_expand(stage, gains, 16)
+    assert len(nxt) > 1
+    assert np.count_nonzero(nxt.masks, axis=1).tolist() == [active] * len(nxt)
+    for mask, signal in zip(nxt.masks, nxt.signals):
+        assert signal.tobytes() == gains[:, np.flatnonzero(mask)].sum(axis=1).tobytes()
 
 
 class TestVssSelect:
@@ -164,7 +250,7 @@ class TestStageExpand:
         n_bins = 4
         stage = root_stage(12, 2, n_bins)
         for _ in range(12):
-            expanded = stage_expand(stage, B, n_bins)
+            expanded = stage_expand(stage, B.gains, n_bins)
             oracle = self._naive_expand(stage, B.gains, n_bins)
             assert expanded.buckets.tolist() == sorted(oracle)
             for bucket, mask, metric in zip(
