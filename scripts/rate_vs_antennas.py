@@ -24,10 +24,10 @@ def run(trials: int, seed: int, out_root: str) -> int:
         )
         if rc:
             return rc
-        # exhaustive optimum, restricted to array sizes where 2^N is cheap
+        # exhaustive optimum up to N=20, where the split-table oracle is cheap
         rc = main(
             [
-                "sweep", "--n", "5..15:5", "--solvers", "brute",
+                "sweep", "--n", "5..20:5", "--solvers", "brute",
                 "--users", str(users), "--trials", str(trials), "--seed", str(seed),
                 "--out-dir", f"{out_root}/M{users}/oracle",
             ]

@@ -1,13 +1,18 @@
 """Reference solvers: exhaustive subset search and a greedy baseline.
 
-``brute_force_select`` is the exactness oracle. It walks all non-empty
-activation masks in Gray-code order so each step updates the accumulated
-signal with a single complex add or subtract, keeps a shortlist of
-near-maximal masks, and rescores the shortlist in canonical order at the end;
-the reported optimum is therefore immune to drift accumulated along the walk
-and directly comparable (bit-for-bit) with the trellis solver's output. It
-refuses arrays larger than ``BRUTE_FORCE_CAP`` antennas. The tests validate
-the walk against a naive rescorer that scores every subset from scratch.
+``brute_force_select`` is the exactness oracle. It splits the array into the
+low ``_LOW_BITS`` antennas and the rest, tabulates the subset sums of each
+part once, and scores each high subset against the whole low table in one
+numpy row, so every one of the 2^N - 1 non-empty masks is screened without a
+per-subset Python step and without an array of 2^N entries. A first pass keeps
+each row's maximum; a second recomputes only the rows that reach the
+near-maximal floor and shortlists their masks. The shortlist is rescored in
+canonical order with ``maxmin_metric``, so the screening sums never become
+the answer: the reported optimum is directly comparable (bit-for-bit) with the
+trellis solver's output. It refuses arrays larger than ``BRUTE_FORCE_CAP``
+(24) antennas before any work, with a message that states the subset count and
+the working-memory bound. The tests validate it against a naive rescorer that
+scores every subset from scratch.
 
 ``best_singleton`` scores every column at once with the shared kernel
 ``metric.worst_user_metric`` and takes the first maximum.
@@ -31,11 +36,42 @@ import numpy as np
 from .channel import ChannelMatrix, as_gains
 from .metric import ActivationVector, SolverResult, maxmin_metric, worst_user_metric
 
-BRUTE_FORCE_CAP = 22
+BRUTE_FORCE_CAP = 24
 
-# Relative slack used to shortlist near-maximal masks during the Gray walk;
-# generously wider than any drift the incremental updates can accumulate.
+# Antennas in the low split table; one screening row covers 2^_LOW_BITS masks.
+_LOW_BITS = 12
+
+# Relative slack used to shortlist near-maximal masks from the screening sums;
+# generously wider than any rounding their addition order can introduce.
 _SHORTLIST_RTOL = 1e-9
+
+
+def _working_bytes(n_antennas: int, n_users: int) -> int:
+    """Upper bound on the split tables and row buffers of one search."""
+    k = min(n_antennas, _LOW_BITS)
+    return 64 * (n_users + 1) * ((1 << k) + (1 << (n_antennas - k)))
+
+
+def check_brute_force_size(n_antennas: int, n_users: int) -> None:
+    """Raise ``ValueError`` when exhaustive search over ``n_antennas`` would
+    exceed ``BRUTE_FORCE_CAP``; the message states the bounded work."""
+    if n_antennas > BRUTE_FORCE_CAP:
+        mib = _working_bytes(BRUTE_FORCE_CAP, n_users) / 2**20
+        raise ValueError(
+            f"refusing exhaustive search over N={n_antennas} antennas: the cap is "
+            f"{BRUTE_FORCE_CAP} antennas (2^{BRUTE_FORCE_CAP} = "
+            f"{1 << BRUTE_FORCE_CAP:,} subsets, at most {mib:.2f} MiB of working "
+            f"memory for M={n_users})"
+        )
+
+
+def _subset_table(columns: np.ndarray) -> np.ndarray:
+    """Sum of every subset of the columns; subset s (bit j = column j) is
+    column s of the result."""
+    table = np.zeros((columns.shape[0], 1), dtype=columns.dtype)
+    for j in range(columns.shape[1]):
+        table = np.concatenate((table, table + columns[:, j : j + 1]), axis=1)
+    return table
 
 
 def _mask_to_activation(mask: int, n_antennas: int) -> ActivationVector:
@@ -52,52 +88,43 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     """Enumerate every non-empty activation and return the max-min optimum."""
     gains = as_gains(B)
     n_users, n_antennas = gains.shape
-    if n_antennas > BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"refusing exhaustive search over {n_antennas} antennas "
-            f"(cap is {BRUTE_FORCE_CAP}): 2^N subsets"
-        )
+    check_brute_force_size(n_antennas, n_users)
 
-    cols = [tuple(gains[:, j].tolist()) for j in range(n_antennas)]
-    z = [0j] * n_users
-    gray = 0
-    count = 0
-    best = -math.inf
-    shortlist: list[tuple[int, float]] = []  # (mask, incremental metric)
-    for k in range(1, 1 << n_antennas):
-        flip = (k & -k).bit_length() - 1
-        bit = 1 << flip
-        gray ^= bit
-        col = cols[flip]
-        if gray & bit:
-            count += 1
-            for m in range(n_users):
-                z[m] += col[m]
-        else:
-            count -= 1
-            for m in range(n_users):
-                z[m] -= col[m]
-        worst = math.inf
-        for zm in z:
-            p = zm.real * zm.real + zm.imag * zm.imag
-            if p < worst:
-                worst = p
-        metric = worst / count
-        if metric > best:
-            best = metric
-            floor = best * (1.0 - _SHORTLIST_RTOL)
-            shortlist = [(s, sm) for s, sm in shortlist if sm >= floor]
-            shortlist.append((gray, metric))
-        elif metric >= best * (1.0 - _SHORTLIST_RTOL):
-            shortlist.append((gray, metric))
+    # mask = low | high << k; row h scores high subset h with every low subset
+    k = min(n_antennas, _LOW_BITS)
+    low = _subset_table(gains[:, :k])
+    low_re, low_im = low.real.copy(), low.imag.copy()
+    high = _subset_table(gains[:, k:])
+    low_count = _subset_table(np.ones((1, k)))[0]
+    high_count = _subset_table(np.ones((1, n_antennas - k)))[0]
+    re, im, worst, count = (np.empty(1 << k) for _ in range(4))
+
+    def score_row(h: int) -> np.ndarray:
+        worst.fill(math.inf)
+        for m in range(n_users):
+            z = high[m, h]
+            np.add(low_re[m], z.real, out=re)
+            np.add(low_im[m], z.imag, out=im)
+            np.multiply(re, re, out=re)
+            np.multiply(im, im, out=im)
+            np.add(re, im, out=re)
+            np.minimum(worst, re, out=worst)
+        np.add(low_count, high_count[h], out=count)
+        if h == 0:  # the empty mask: never a candidate
+            worst[0] = -math.inf
+            count[0] = 1.0
+        return np.divide(worst, count, out=worst)
+
+    row_max = np.array([score_row(h).max() for h in range(high.shape[1])])
+    floor = row_max.max() * (1.0 - _SHORTLIST_RTOL)
+    shortlist: list[int] = []
+    for h in np.flatnonzero(row_max >= floor).tolist():
+        shortlist += (np.flatnonzero(score_row(h) >= floor) | (h << k)).tolist()
 
     # rescore the near-maximal masks in canonical order; exact ties resolved
     # by the deterministic key
-    floor = best * (1.0 - _SHORTLIST_RTOL)
     candidates = []
-    for mask, inc_metric in shortlist:
-        if inc_metric < floor:
-            continue
+    for mask in shortlist:
         activation = _mask_to_activation(mask, n_antennas)
         candidates.append((maxmin_metric(gains, activation), activation))
     metric, activation = min(candidates, key=lambda c: _tie_key(c[0], c[1]))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -249,6 +250,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, with_solvers: bool) -> None:
     sub.add_argument("--config", help="key=value config file")
 
 
+@functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinchsel",

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .baselines import (
-    BRUTE_FORCE_CAP,
     best_singleton,
     brute_force_select,
+    check_brute_force_size,
     greedy_pgga_select,
 )
 from .channel import ChannelMatrix, build_channel_matrix, sample_users
@@ -72,11 +72,7 @@ class ExperimentSpec:
         if not self.solvers:
             raise ValueError("at least one solver is required")
         if "brute_force" in self.solvers:
-            over = [n for n in self.n_values if n > BRUTE_FORCE_CAP]
-            if over:
-                raise ValueError(
-                    f"brute force requested for N={over} beyond cap {BRUTE_FORCE_CAP}"
-                )
+            check_brute_force_size(max(self.n_values), self.base_config.n_users)
         if "vss" in self.solvers:
             config = self.base_config
             check_block_size(max(self.n_values), config.phase_bins, config.n_users)

@@ -1,18 +1,21 @@
 """Exhaustive-oracle and greedy-baseline tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pinchsel.baselines import (
     _mask_to_activation,
     _tie_key,
+    _working_bytes,
     best_singleton,
     brute_force_select,
     greedy_pgga_select,
 )
 from pinchsel.channel import build_channel_matrix, sample_users
 from pinchsel.config import SystemConfig
-from pinchsel.harness import derive_seed
+from pinchsel.harness import ExperimentSpec, derive_seed
 from pinchsel.metric import ActivationVector, SolverResult, maxmin_metric
 from pinchsel.vss import vss_select
 
@@ -35,6 +38,37 @@ def _random_gains(seed, n_users, n_antennas):
     return rng.standard_normal((n_users, n_antennas)) + 1j * rng.standard_normal(
         (n_users, n_antennas)
     )
+
+
+# brute_force_select fingerprints recorded from the Gray-code walk the split
+# table replaced: (kind, N, M, trial, metric hex, active indices, evaluations).
+# The paper rows are seed-7 channels, as in _parity_gains.
+BRUTE_PARITY = [
+    ('paper', 14, 1, 0, '0x1.f416a0c4cacb9p-7', (0, 1, 3, 5, 6, 8, 11), 16383),
+    ('paper', 14, 1, 1, '0x1.e73f083674ff3p-7', (4, 5, 7, 8), 16383),
+    ('paper', 14, 2, 0, '0x1.f416a0c4cacb9p-7', (0, 1, 3, 5, 6, 8, 11), 16383),
+    ('paper', 14, 2, 1, '0x1.1d2c665d1a786p-7', (1, 3, 6, 7, 8, 9, 12), 16383),
+    ('paper', 14, 3, 0, '0x1.f416a0c4cacb9p-7', (0, 1, 3, 5, 6, 8, 11), 16383),
+    ('paper', 14, 3, 1, '0x1.73cdda7dfbcbdp-8', (7, 8, 9), 16383),
+    ('paper', 18, 1, 0, '0x1.733fb2fafd2cap-5', (11, 12, 13, 14, 16), 262143),
+    ('paper', 18, 1, 1, '0x1.e26515c905e0ep-4', (0, 1), 262143),
+    ('paper', 18, 2, 0, '0x1.c38368bb1772fp-7', (3, 5, 9, 10, 12, 14, 16), 262143),
+    ('paper', 18, 2, 1, '0x1.1856eb70a923ep-7', (0, 5, 10, 12, 13, 14), 262143),
+    ('paper', 18, 3, 0, '0x1.779a15785145dp-7', (3, 5, 9, 12, 14, 16), 262143),
+    ('paper', 18, 3, 1, '0x1.c0726170b69f6p-8', (1, 3, 4, 6, 8, 9, 13), 262143),
+    ('paper', 20, 1, 0, '0x1.a5c9efbd8f95ep-7', (1, 2, 7, 9, 10, 11, 13, 15, 17, 19),
+     1048575),
+    ('paper', 20, 1, 1, '0x1.adceda1ecaedcp-6', (2, 3, 7, 10, 11, 14, 15, 16), 1048575),
+    ('paper', 20, 2, 0, '0x1.90ba6466c3027p-8', (1, 2, 9), 1048575),
+    ('paper', 20, 2, 1, '0x1.493d85eaca2b6p-7', (0, 2, 5, 11, 14, 16, 18), 1048575),
+    ('paper', 20, 3, 0, '0x1.90ba6466c3027p-8', (1, 2, 9), 1048575),
+    ('paper', 20, 3, 1, '0x1.ce055e5484edfp-8', (0, 5, 9, 11, 14, 15), 1048575),
+    ('lattice', 14, 2, 0, '0x1.a000000000000p+3', (4, 5, 6, 8, 13), 16383),
+    ('lattice', 16, 3, 1, '0x1.5333333333333p+3', (1, 6, 8, 9, 10), 65535),
+    ('repeated', 14, 1, 0, '0x1.95f4b4599675ep+5', (2, 3, 4, 5, 7, 10, 11), 16383),
+    ('repeated', 16, 2, 1, '0x1.92c4fd549ae7ep+2', (4, 8, 9, 10, 12, 13, 14, 15),
+     65535),
+]
 
 
 class TestBruteForce:
@@ -60,12 +94,34 @@ class TestBruteForce:
         assert res.evaluations == 2**7 - 1
 
     def test_cap_guard(self):
-        with pytest.raises(ValueError):
-            brute_force_select(_random_gains(0, 1, 23))
+        refusal = r"N=25 .*cap is 24 .*16,777,216 subsets.*MiB"
+        with pytest.raises(ValueError, match=refusal):
+            brute_force_select(_random_gains(0, 1, 25))
 
-    @pytest.mark.parametrize("n_antennas", [1, 2, 5, 8, 10, 12])
-    def test_gray_matches_naive(self, n_antennas):
-        for seed in (0, 1, 2):
+    def test_spec_refuses_with_the_solver_message(self):
+        with pytest.raises(ValueError) as solver:
+            brute_force_select(_random_gains(0, 2, 25))
+        base = SystemConfig(n_users=2)
+        with pytest.raises(ValueError) as spec:
+            ExperimentSpec(base, (10, 25), ("brute_force",), n_trials=1, seed=0)
+        assert str(spec.value) == str(solver.value)
+
+    def test_working_memory_stays_below_a_full_table(self):
+        # a float64 array over all 2^20 masks alone would be 8 MiB
+        B = _random_gains(22, 3, 22)
+        tracemalloc.start()
+        try:
+            brute_force_select(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert peak < _working_bytes(22, 3)
+
+    @pytest.mark.parametrize("n_antennas", [1, 2, 5, 8, 10, 12, 13, 14, 16])
+    def test_matches_naive(self, n_antennas):
+        # the naive rescorer takes seconds per instance at N=16: one seed there
+        for seed in range(1 if n_antennas > 14 else 3):
             B = _random_gains(100 * n_antennas + seed, 2, n_antennas)
             fast = brute_force_select(B)
             slow = _brute_force_naive(B)
@@ -78,6 +134,24 @@ class TestBruteForce:
         slow = _brute_force_naive(B)
         assert fast.activation == slow.activation
         assert fast.metric == slow.metric == 2.0
+
+    def test_zero_gain_user(self):
+        # every mask scores 0; the empty mask must never join the shortlist
+        res = brute_force_select(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+        assert res.activation.mask == (0, 0, 1)
+        assert res.metric == 0.0
+
+    def test_all_zero_gains_across_the_split(self):
+        res = brute_force_select(np.zeros((2, 14)))
+        assert res.activation.indices == (13,)
+        assert res.metric == 0.0
+        assert res.evaluations == 2**14 - 1
+
+    @pytest.mark.parametrize("row", BRUTE_PARITY, ids=lambda r: "-".join(map(str, r[:4])))
+    def test_parity_with_recorded_fingerprints(self, row):
+        kind, n_antennas, n_users, t, *expected = row
+        res = brute_force_select(_parity_gains(kind, n_antennas, n_users, t))
+        assert [res.metric.hex(), res.activation.indices, res.evaluations] == expected
 
     def test_single_user_literal_objective(self):
         # direct re-implementation of the single-user fractional objective

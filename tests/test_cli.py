@@ -9,7 +9,7 @@ import pytest
 
 import pinchsel.vss
 from pinchsel import harness, verify
-from pinchsel.cli import main, parse_n_values, parse_solvers
+from pinchsel.cli import build_parser, main, parse_n_values, parse_solvers
 from pinchsel.config import SystemConfig, dbm_to_watts, watts_to_dbm
 from pinchsel.harness import ExperimentSpec, run_sweep
 
@@ -91,6 +91,17 @@ class TestSweepCommand:
         first = (tmp_path / "vss_rate_vs_N.dat").read_bytes()
         assert main(args) == 0
         assert (tmp_path / "vss_rate_vs_N.dat").read_bytes() == first
+
+    def test_shared_parser_leaks_no_state_between_calls(self, tmp_path):
+        assert build_parser() is build_parser()
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = ["sweep", "--n", "4", "--users", "2", "--feed-x", "auto", "--trials", "2"]
+        assert main([*argv, "--out-dir", str(first)]) == 0
+        assert main(["sweep", "--n", "4", "--out-dir", str(second)]) == 0
+        first_header = (first / "vss_rate_vs_N.dat").read_text().splitlines()[0]
+        header = (second / "vss_rate_vs_N.dat").read_text().splitlines()[0]
+        assert " users=2 trials=2 " in first_header
+        assert " users=1 trials=150 " in header
 
     def test_brute_dominates_vss_in_files(self, tmp_path):
         rc = main(
