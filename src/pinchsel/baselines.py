@@ -6,13 +6,15 @@ part once, and scores each high subset against the whole low table in one
 numpy row, so every one of the 2^N - 1 non-empty masks is screened without a
 per-subset Python step and without an array of 2^N entries. A first pass keeps
 each row's maximum; a second recomputes only the rows that reach the
-near-maximal floor and shortlists their masks. The shortlist is rescored in
-canonical order with ``maxmin_metric``, so the screening sums never become
-the answer: the reported optimum is directly comparable (bit-for-bit) with the
-trellis solver's output. It refuses arrays larger than ``BRUTE_FORCE_CAP``
-(24) antennas before any work, with a message that states the subset count and
-the working-memory bound. The tests validate it against a naive rescorer that
-scores every subset from scratch.
+near-maximal floor and rescores their masks in canonical order with
+``maxmin_metric``, one row at a time, so the screening sums never become the
+answer and no more than one row of candidates is held: the reported optimum is
+directly comparable (bit-for-bit) with the trellis solver's output. A user
+whose gains are all zero makes every mask score 0, and the tie key alone
+picks the answer without a search. It refuses arrays larger than
+``BRUTE_FORCE_CAP`` (24) antennas before any work, with a message that states
+the subset count and the working-memory bound. The tests validate it against
+a naive rescorer that scores every subset from scratch.
 
 ``best_singleton`` scores every column at once with the shared kernel
 ``metric.worst_user_metric`` and takes the first maximum.
@@ -47,7 +49,8 @@ _SHORTLIST_RTOL = 1e-9
 
 
 def _working_bytes(n_antennas: int, n_users: int) -> int:
-    """Upper bound on the split tables and row buffers of one search."""
+    """Upper bound on the split tables, row buffers and one row of
+    shortlisted masks of one search."""
     k = min(n_antennas, _LOW_BITS)
     return 64 * (n_users + 1) * ((1 << k) + (1 << (n_antennas - k)))
 
@@ -89,6 +92,11 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     gains = as_gains(B)
     n_users, n_antennas = gains.shape
     check_brute_force_size(n_antennas, n_users)
+    evaluations = (1 << n_antennas) - 1
+    if not gains.any(axis=1).all():
+        # every mask scores exactly 0, so the tie key picks the last antenna
+        activation = ActivationVector.singleton(n_antennas, n_antennas - 1)
+        return SolverResult(activation, maxmin_metric(gains, activation), evaluations)
 
     # mask = low | high << k; row h scores high subset h with every low subset
     k = min(n_antennas, _LOW_BITS)
@@ -117,18 +125,18 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
 
     row_max = np.array([score_row(h).max() for h in range(high.shape[1])])
     floor = row_max.max() * (1.0 - _SHORTLIST_RTOL)
-    shortlist: list[int] = []
-    for h in np.flatnonzero(row_max >= floor).tolist():
-        shortlist += (np.flatnonzero(score_row(h) >= floor) | (h << k)).tolist()
 
-    # rescore the near-maximal masks in canonical order; exact ties resolved
-    # by the deterministic key
-    candidates = []
-    for mask in shortlist:
-        activation = _mask_to_activation(mask, n_antennas)
-        candidates.append((maxmin_metric(gains, activation), activation))
-    metric, activation = min(candidates, key=lambda c: _tie_key(c[0], c[1]))
-    return SolverResult(activation, metric, (1 << n_antennas) - 1)
+    # rescore the near-maximal masks in canonical order, row by row; exact
+    # ties resolved by the deterministic key
+    best = None
+    for h in np.flatnonzero(row_max >= floor).tolist():
+        for mask in (np.flatnonzero(score_row(h) >= floor) | (h << k)).tolist():
+            activation = _mask_to_activation(mask, n_antennas)
+            metric = maxmin_metric(gains, activation)
+            key = _tie_key(metric, activation)
+            if best is None or key < best[0]:
+                best = (key, metric, activation)
+    return SolverResult(best[2], best[1], evaluations)
 
 
 def best_singleton(B: "ChannelMatrix | np.ndarray") -> SolverResult:

@@ -118,6 +118,46 @@ class TestBruteForce:
         assert peak < 2 * 2**20
         assert peak < _working_bytes(22, 3)
 
+    def test_zero_gain_user_at_the_cap_is_decided_by_the_tie_key(self):
+        # every one of the 2^24 - 1 masks scores 0; no mask may be rescored
+        B = _random_gains(24, 3, 24)
+        B[1] = 0.0
+        tracemalloc.start()
+        try:
+            res = brute_force_select(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.activation.indices == (23,)
+        assert res.metric == 0.0
+        assert res.evaluations == 2**24 - 1
+        assert peak < 2 * 2**20
+
+    def test_zero_gain_user_matches_naive(self):
+        B = _random_gains(5, 3, 10)
+        B[2] = 0.0
+        fast = brute_force_select(B)
+        slow = _brute_force_naive(B)
+        assert fast.metric == slow.metric
+        assert fast.activation == slow.activation
+
+    def test_all_masks_tied_without_a_zero_user(self):
+        # user j hears only antenna j and user 13 hears 1 - 1 on the first
+        # two, so every mask leaves some user at exactly 0 and all 2^13 - 1
+        # masks reach the floor; they are rescored one row at a time, within
+        # the stated working-memory bound
+        B = np.vstack([np.eye(13), [1.0, -1.0] + [0.0] * 11]).astype(complex)
+        tracemalloc.start()
+        try:
+            fast = brute_force_select(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slow = _brute_force_naive(B)
+        assert fast.metric == slow.metric == 0.0
+        assert fast.activation == slow.activation
+        assert peak < _working_bytes(13, 14)
+
     @pytest.mark.parametrize("n_antennas", [1, 2, 5, 8, 10, 12, 13, 14, 16])
     def test_matches_naive(self, n_antennas):
         # the naive rescorer takes seconds per instance at N=16: one seed there
