@@ -94,7 +94,8 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     check_brute_force_size(n_antennas, n_users)
     evaluations = (1 << n_antennas) - 1
     if not gains.any(axis=1).all():
-        # every mask scores exactly 0, so the tie key picks the last antenna
+        # every mask scores exactly 0, so the tie key alone decides: one
+        # active antenna, and of those the smallest mask, the last antenna
         activation = ActivationVector.singleton(n_antennas, n_antennas - 1)
         return SolverResult(activation, maxmin_metric(gains, activation), evaluations)
 
