@@ -13,59 +13,48 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .config import SystemConfig, dbm_to_watts
+from .config import SystemConfig, dbm_to_watts, watts_to_dbm
 from .harness import SOLVERS, ExperimentSpec, run_convergence, run_sweep
 from .metric import InvariantError
 from .verify import run_checks
-from .vss import check_block_size
 
 # Short CLI names for solvers; canonical ``SOLVERS`` names are accepted too.
 _SHORT_NAMES = {"brute": "brute_force", "singleton": "best_singleton"}
 
-_DEFAULTS = {
-    "users": 1,
-    "trials": 150,
-    "seed": 7,
-    "solvers": "vss",
-    "q_bins": 4,
-    "power_dbm": 10.0,
-    "noise_dbm": -90.0,
-    "room": 50.0,
-    "height": 3.0,
-    "freq_ghz": 28.0,
-    "neff": 1.4,
-    "feed_x": None,
-    "out_dir": ".",
-    "format": "both",
-}
-
 
 def parse_n_values(text: str) -> tuple[int, ...]:
-    """Parse ``--n``: a single value, a comma list, or ``a..b:step`` ranges."""
+    """Parse ``--n``: a single value, a comma list, or ``a..b:step`` ranges.
+
+    Repeated counts are dropped, keeping the order of first appearance."""
     values: list[int] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             raise ValueError(f"empty antenna-count token in {text!r}")
-        if ".." in token:
-            span, _, step_s = token.partition(":")
-            lo_s, _, hi_s = span.partition("..")
-            lo, hi = int(lo_s), int(hi_s)
-            step = int(step_s) if step_s else 1
-            if step < 1 or hi < lo:
-                raise ValueError(f"bad antenna-count range {token!r}")
-            values.extend(range(lo, hi + 1, step))
-        else:
-            values.append(int(token))
+        try:
+            if ".." in token:
+                span, _, step_s = token.partition(":")
+                lo_s, _, hi_s = span.partition("..")
+                lo, hi = int(lo_s), int(hi_s)
+                step = int(step_s) if step_s else 1
+            else:
+                lo = hi = int(token)
+                step = 1
+        except ValueError:
+            raise ValueError(f"bad antenna-count token {token!r} in {text!r}") from None
+        if step < 1 or hi < lo:
+            raise ValueError(f"bad antenna-count range {token!r}")
+        values.extend(range(lo, hi + 1, step))
     if not values or any(v < 1 for v in values):
         raise ValueError(f"antenna counts must be positive integers, got {text!r}")
-    return tuple(values)
+    return tuple(dict.fromkeys(values))
 
 
 def parse_solvers(text: str) -> tuple[str, ...]:
@@ -83,49 +72,108 @@ def parse_solvers(text: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+class _FeedXError(ValueError, argparse.ArgumentTypeError):
+    """A bad feed_x: argparse prints the message for ``--feed-x``, and
+    ``main`` reports it as a usage error when it comes from a config file."""
+
+
+def _feed_x(text: str) -> float | None:
+    if text.strip().lower() == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise _FeedXError(f"feed_x takes a number (m) or auto, got {text!r}") from None
+
+
+def _same(value):
+    return value
+
+
+class _Option(NamedTuple):
+    """One run setting. ``convert`` turns flag and config-file text into its
+    value; ``field`` names the ``SystemConfig`` field the value sets, after
+    ``to_field`` converts it to that field's units."""
+
+    convert: Callable[[str], object]
+    default: object
+    help: str
+    field: str | None = None
+    to_field: Callable[[object], object] = _same
+    in_header: bool = True
+    metavar: str | None = None
+
+
+# Declared field defaults, not ``SystemConfig()``'s: an instance resolves
+# feed_x None to -room/2, and the CLI keeps None so the header reads "auto".
+_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SystemConfig)}
+_DBM = (watts_to_dbm, dbm_to_watts)
+_GHZ = (lambda hz: hz / 1e9, lambda ghz: ghz * 1e9)
+
+
+def _physical(
+    convert: Callable[[str], object], field: str, help_text: str,
+    to_cli=_same, to_field=_same,
+) -> _Option:
+    """A setting backed by a ``SystemConfig`` field, defaulting to that
+    field's default in CLI units."""
+    return _Option(convert, to_cli(_FIELD_DEFAULTS[field]), help_text, field, to_field)
+
+
+# Every run setting, in header order. Flags (``--q-bins`` for ``q_bins``),
+# config-file keys, their conversion, the defaults and the ``#`` header of
+# every output file all come from this table.
+_OPTIONS: dict[str, _Option] = {
+    "n": _Option(str, None, "antenna counts: 10, 5,10,20 or 5..50:5"),
+    "users": _physical(int, "n_users", "number of ground users"),
+    "trials": _Option(int, 150, "Monte Carlo trials per point"),
+    "seed": _Option(int, 7, "master seed"),
+    "solvers": _Option(str, "vss", "comma list: vss, brute, pgga, singleton"),
+    "q_bins": _physical(int, "phase_bins", "phase bins per user"),
+    "power_dbm": _physical(float, "tx_power", "transmit power", *_DBM),
+    "noise_dbm": _physical(float, "noise_power", "noise power", *_DBM),
+    "room": _physical(float, "room_side", "room side length (m)"),
+    "height": _physical(float, "height", "waveguide height (m)"),
+    "freq_ghz": _physical(float, "carrier_freq", "carrier (GHz)", *_GHZ),
+    "neff": _physical(float, "refractive_index", "waveguide refractive index"),
+    "feed_x": _physical(_feed_x, "feed_x", "feed x (m) or auto"),
+    "out_dir": _Option(Path, Path("."), "output directory", in_header=False),
+    "format": _Option(str, "both", "outputs", in_header=False, metavar="{dat,csv,both}"),
+}
+
+
+def _header_text(value: object) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
 @dataclass(frozen=True)
 class CliConfig:
-    """Fully resolved configuration (flags > config file > defaults)."""
+    """Fully resolved configuration (flags > config file > defaults): one
+    value per ``_OPTIONS`` key, in table order, with ``n`` and ``solvers``
+    parsed into tuples."""
 
-    n_values: tuple[int, ...]
-    users: int
-    trials: int
-    seed: int
-    solvers: tuple[str, ...]
-    q_bins: int
-    power_dbm: float
-    noise_dbm: float
-    room: float
-    height: float
-    freq_ghz: float
-    neff: float
-    feed_x: float | None
-    out_dir: Path
-    format: str
+    values: dict[str, object]
+
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     def system_config(self, n_antennas: int) -> SystemConfig:
-        return SystemConfig(
-            n_antennas=n_antennas,
-            n_users=self.users,
-            room_side=self.room,
-            height=self.height,
-            carrier_freq=self.freq_ghz * 1e9,
-            refractive_index=self.neff,
-            tx_power=dbm_to_watts(self.power_dbm),
-            noise_power=dbm_to_watts(self.noise_dbm),
-            phase_bins=self.q_bins,
-            feed_x=self.feed_x,
-        )
+        fields = {
+            opt.field: opt.to_field(self.values[key])
+            for key, opt in _OPTIONS.items()
+            if opt.field
+        }
+        return SystemConfig(n_antennas=n_antennas, **fields)
 
     def header_line(self) -> str:
-        feed = "auto" if self.feed_x is None else f"{self.feed_x:g}"
-        return (
-            f"n={','.join(str(v) for v in self.n_values)} users={self.users} "
-            f"trials={self.trials} seed={self.seed} "
-            f"solvers={','.join(self.solvers)} q_bins={self.q_bins} "
-            f"power_dbm={self.power_dbm:g} noise_dbm={self.noise_dbm:g} "
-            f"room={self.room:g} height={self.height:g} "
-            f"freq_ghz={self.freq_ghz:g} neff={self.neff:g} feed_x={feed}"
+        return " ".join(
+            f"{key}={_header_text(value)}"
+            for key, value in self.values.items()
+            if _OPTIONS[key].in_header
         )
 
 
@@ -143,42 +191,9 @@ def read_config_file(path: Path) -> dict[str, str]:
     return entries
 
 
-class _FeedXError(ValueError, argparse.ArgumentTypeError):
-    """A bad feed_x: argparse prints the message for ``--feed-x``, and
-    ``main`` reports it as a usage error when it comes from a config file."""
-
-
-def _feed_x(text: str) -> float | None:
-    if text.strip().lower() == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise _FeedXError(f"feed_x takes a number (m) or auto, got {text!r}") from None
-
-
-_CONVERTERS = {
-    "n": str,
-    "users": int,
-    "trials": int,
-    "seed": int,
-    "solvers": str,
-    "q_bins": int,
-    "power_dbm": float,
-    "noise_dbm": float,
-    "room": float,
-    "height": float,
-    "freq_ghz": float,
-    "neff": float,
-    "feed_x": _feed_x,
-    "out_dir": str,
-    "format": str,
-}
-
-
 def _convert_file_value(key: str, text: str):
     """Convert one config-file value; a bad number names its key."""
-    convert = _CONVERTERS[key]
+    convert = _OPTIONS[key].convert
     try:
         return convert(text)
     except _FeedXError:
@@ -192,61 +207,32 @@ def _resolve(args: argparse.Namespace, need_solvers: bool) -> CliConfig:
     file_vals: dict[str, str] = {}
     if hasattr(args, "config"):
         file_vals = read_config_file(Path(args.config))
-        unknown = set(file_vals) - set(_CONVERTERS)
+        unknown = set(file_vals) - set(_OPTIONS)
         if unknown:
             raise ValueError(f"unknown config-file keys: {sorted(unknown)}")
-
-    def pick(key: str):
+    values: dict[str, object] = {}
+    for key, opt in _OPTIONS.items():
         if hasattr(args, key):  # flags left unset are absent, not None
-            return getattr(args, key)
-        if key in file_vals:
-            return _convert_file_value(key, file_vals[key])
-        return _DEFAULTS.get(key)
-
-    n_text = pick("n")
-    if n_text is None:
+            values[key] = getattr(args, key)
+        elif key in file_vals:
+            values[key] = _convert_file_value(key, file_vals[key])
+        else:
+            values[key] = opt.default
+    if values["n"] is None:
         raise ValueError("--n is required (flag or config file)")
-    fmt = pick("format")
-    if fmt not in ("dat", "csv", "both"):
-        raise ValueError(f"--format must be dat, csv or both, got {fmt!r}")
-    return CliConfig(
-        n_values=parse_n_values(str(n_text)),
-        users=pick("users"),
-        trials=pick("trials"),
-        seed=pick("seed"),
-        solvers=parse_solvers(pick("solvers")) if need_solvers else ("vss",),
-        q_bins=pick("q_bins"),
-        power_dbm=pick("power_dbm"),
-        noise_dbm=pick("noise_dbm"),
-        room=pick("room"),
-        height=pick("height"),
-        freq_ghz=pick("freq_ghz"),
-        neff=pick("neff"),
-        feed_x=pick("feed_x"),
-        out_dir=Path(pick("out_dir")),
-        format=fmt,
-    )
+    # the one format check, for flag and file values alike
+    if values["format"] not in ("dat", "csv", "both"):
+        raise ValueError(f"--format must be dat, csv or both, got {values['format']!r}")
+    values["n"] = parse_n_values(values["n"])
+    values["solvers"] = parse_solvers(values["solvers"]) if need_solvers else ("vss",)
+    return CliConfig(values)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, with_solvers: bool) -> None:
-    sub.add_argument("--n", help="antenna counts: 10, 5,10,20 or 5..50:5")
-    sub.add_argument("--users", type=int, help="number of ground users")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-    sub.add_argument("--seed", type=int, help="master seed")
-    if with_solvers:
-        sub.add_argument(
-            "--solvers", help="comma list: vss, brute, pgga, singleton"
-        )
-    sub.add_argument("--q-bins", dest="q_bins", type=int, help="phase bins per user")
-    sub.add_argument("--power-dbm", dest="power_dbm", type=float, help="transmit power")
-    sub.add_argument("--noise-dbm", dest="noise_dbm", type=float, help="noise power")
-    sub.add_argument("--room", type=float, help="room side length (m)")
-    sub.add_argument("--height", type=float, help="waveguide height (m)")
-    sub.add_argument("--freq-ghz", dest="freq_ghz", type=float, help="carrier (GHz)")
-    sub.add_argument("--neff", type=float, help="waveguide refractive index")
-    sub.add_argument("--feed-x", dest="feed_x", type=_feed_x, help="feed x (m) or auto")
-    sub.add_argument("--out-dir", dest="out_dir", help="output directory")
-    sub.add_argument("--format", choices=("dat", "csv", "both"), help="outputs")
+def _add_run_flags(sub: argparse.ArgumentParser, with_solvers: bool) -> None:
+    for key, opt in _OPTIONS.items():
+        if with_solvers or key != "solvers":
+            flag = "--" + key.replace("_", "-")
+            sub.add_argument(flag, type=opt.convert, help=opt.help, metavar=opt.metavar)
     sub.add_argument("--config", help="key=value config file")
 
 
@@ -264,14 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="mean worst-user rate vs antenna count",
         argument_default=argparse.SUPPRESS,
     )
-    _add_common_flags(p_sweep, with_solvers=True)
+    _add_run_flags(p_sweep, with_solvers=True)
 
     p_conv = sub.add_parser(
         "convergence",
         help="mean running-best rate vs trellis stage",
         argument_default=argparse.SUPPRESS,
     )
-    _add_common_flags(p_conv, with_solvers=False)
+    _add_run_flags(p_conv, with_solvers=False)
 
     p_verify = sub.add_parser("verify", help="run the self-check battery")
     p_verify.add_argument("--quick", action="store_true", help="reduced trial counts")
@@ -290,24 +276,23 @@ def _write_rows(
 
 
 def write_sweep_outputs(cli: CliConfig, agg) -> list[Path]:
-    cli.out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir, header = cli["out_dir"], cli.header_line()
+    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    if cli.format in ("dat", "both"):
-        for solver in cli.solvers:
-            rows = [
-                (float(n), agg.get(n, solver).mean_min_rate) for n in cli.n_values
-            ]
-            path = cli.out_dir / f"{solver}_rate_vs_N.dat"
-            _write_rows(path, cli.header_line(), rows, x_as_int=True)
+    if cli["format"] in ("dat", "both"):
+        for solver in cli["solvers"]:
+            rows = [(float(n), agg.get(n, solver).mean_min_rate) for n in cli["n"]]
+            path = out_dir / f"{solver}_rate_vs_N.dat"
+            _write_rows(path, header, rows, x_as_int=True)
             written.append(path)
-    if cli.format in ("csv", "both"):
-        path = cli.out_dir / "sweep_summary.csv"
+    if cli["format"] in ("csv", "both"):
+        path = out_dir / "sweep_summary.csv"
         with path.open("w", newline="", encoding="ascii") as fh:
-            fh.write(f"# {cli.header_line()}\n")
+            fh.write(f"# {header}\n")
             writer = csv.writer(fh)
             writer.writerow(["N", "solver", "mean_rate", "mean_evals", "mean_active_count"])
-            for n in cli.n_values:
-                for solver in cli.solvers:
+            for n in cli["n"]:
+                for solver in cli["solvers"]:
                     e = agg.get(n, solver)
                     writer.writerow(
                         [n, solver, e.mean_min_rate, e.mean_evaluations, e.mean_active_count]
@@ -316,16 +301,21 @@ def write_sweep_outputs(cli: CliConfig, agg) -> list[Path]:
     return written
 
 
+def _spec(cli: CliConfig) -> ExperimentSpec:
+    """The run over every N; building it refuses a bad run before any trial
+    or file."""
+    return ExperimentSpec(
+        base_config=cli.system_config(cli["n"][0]),
+        n_values=cli["n"],
+        solvers=cli["solvers"],
+        n_trials=cli["trials"],
+        seed=cli["seed"],
+    )
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cli = _resolve(args, need_solvers=True)
-    spec = ExperimentSpec(
-        base_config=cli.system_config(cli.n_values[0]),
-        n_values=cli.n_values,
-        solvers=cli.solvers,
-        n_trials=cli.trials,
-        seed=cli.seed,
-    )
-    agg = run_sweep(spec)
+    agg = run_sweep(_spec(cli))
     for path in write_sweep_outputs(cli, agg):
         print(f"wrote {path}")
     return 0
@@ -333,24 +323,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     cli = _resolve(args, need_solvers=False)
-    check_block_size(max(cli.n_values), cli.q_bins, cli.users)
-    cli.out_dir.mkdir(parents=True, exist_ok=True)
+    _spec(cli)  # refuses a bad run before the output directory exists
+    out_dir, header = cli["out_dir"], cli.header_line()
+    out_dir.mkdir(parents=True, exist_ok=True)
     curves = {}
-    for n in cli.n_values:
-        curve = run_convergence(cli.system_config(n), cli.trials, cli.seed)
+    for n in cli["n"]:
+        curve = run_convergence(cli.system_config(n), cli["trials"], cli["seed"])
         curves[n] = curve
-        if cli.format in ("dat", "both"):
+        if cli["format"] in ("dat", "both"):
             rows = [(float(stage), rate) for stage, rate in enumerate(curve, start=1)]
-            path = cli.out_dir / f"conv_N{n}_M{cli.users}.dat"
-            _write_rows(path, cli.header_line(), rows, x_as_int=True)
+            path = out_dir / f"conv_N{n}_M{cli['users']}.dat"
+            _write_rows(path, header, rows, x_as_int=True)
             print(f"wrote {path}")
-    if cli.format in ("csv", "both"):
-        path = cli.out_dir / "convergence_summary.csv"
+    if cli["format"] in ("csv", "both"):
+        path = out_dir / "convergence_summary.csv"
         with path.open("w", newline="", encoding="ascii") as fh:
-            fh.write(f"# {cli.header_line()}\n")
+            fh.write(f"# {header}\n")
             writer = csv.writer(fh)
             writer.writerow(["N", "stage", "mean_rate"])
-            for n in cli.n_values:
+            for n in cli["n"]:
                 for stage, rate in enumerate(curves[n], start=1):
                     writer.writerow([n, stage, rate])
         print(f"wrote {path}")

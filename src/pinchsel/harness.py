@@ -136,7 +136,6 @@ class SolverAggregate:
     n_antennas: int
     solver: str
     mean_min_rate: float
-    mean_metric: float
     mean_evaluations: float
     mean_active_count: float
     mean_termination_stage: float | None = None
@@ -145,7 +144,6 @@ class SolverAggregate:
 
 @dataclass(frozen=True)
 class AggregateResult:
-    spec: ExperimentSpec
     entries: tuple[SolverAggregate, ...]
 
     def get(self, n_antennas: int, solver: str) -> SolverAggregate:
@@ -194,14 +192,13 @@ def run_sweep(spec: ExperimentSpec) -> AggregateResult:
                     n_antennas=n,
                     solver=solver,
                     mean_min_rate=sum(rates) / k,
-                    mean_metric=sum(t.metric for t in trials) / k,
                     mean_evaluations=sum(t.evaluations for t in trials) / k,
                     mean_active_count=sum(t.activation.active_count for t in trials) / k,
                     mean_termination_stage=term,
                     stage_rates=curve,
                 )
             )
-    return AggregateResult(spec=spec, entries=tuple(entries))
+    return AggregateResult(entries=tuple(entries))
 
 
 def run_convergence(

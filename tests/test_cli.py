@@ -9,7 +9,7 @@ import pytest
 
 import pinchsel.vss
 from pinchsel import harness, verify
-from pinchsel.cli import build_parser, main, parse_n_values, parse_solvers
+from pinchsel.cli import _resolve, build_parser, main, parse_n_values, parse_solvers
 from pinchsel.config import SystemConfig, dbm_to_watts, watts_to_dbm
 from pinchsel.harness import ExperimentSpec, run_sweep
 
@@ -47,6 +47,18 @@ class TestParsing:
     def test_rejects_bad_input(self, bad):
         with pytest.raises(ValueError):
             parse_n_values(bad)
+
+    @pytest.mark.parametrize(
+        "text,token",
+        [("5,x", "x"), ("5..:2", "5..:2"), ("5..10:x", "5..10:x"), ("2.5", "2.5")],
+    )
+    def test_bad_token_is_named(self, text, token, tmp_path, capsys):
+        assert main(["sweep", "--n", text, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad antenna-count token {token!r} in {text!r}\n"
+
+    def test_repeats_dropped_in_first_appearance_order(self):
+        assert parse_n_values("6,4,6,3..7:2,4") == (6, 4, 3, 5, 7)
 
     def test_solver_aliases(self):
         assert parse_solvers("vss,brute") == ("vss", "brute_force")
@@ -149,11 +161,35 @@ class TestSweepCommand:
             assert mean_evals == entry.mean_evaluations
             assert mean_active == entry.mean_active_count
 
+    def test_repeated_n_runs_once(self, monkeypatch, tmp_path):
+        calls = []
+        real = harness.run_trial
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", counting)
+        rc = main(["sweep", "--n", "4,4", "--trials", "1", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 1
+        lines = (tmp_path / "vss_rate_vs_N.dat").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("4 ")
+        assert lines[0].startswith("# n=4 users=1 ")
+
     def test_missing_n_exits_one(self, tmp_path):
         assert main(["sweep", "--out-dir", str(tmp_path)]) == 1
 
-    def test_bad_flag_exits_one(self):
-        assert main(["sweep", "--n", "5", "--format", "yaml"]) == 1
+    def test_bad_flag_exits_one(self, tmp_path, capsys):
+        # a flag and a config-file value meet the same format check
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("format = yaml\n")
+        out = tmp_path / "out"
+        for extra in (["--format", "yaml"], ["--config", str(cfg_file)]):
+            assert main(["sweep", "--n", "5", *extra, "--out-dir", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: --format must be dat, csv or both, got 'yaml'\n"
+        assert not out.exists()
 
 
 class TestConvergenceCommand:
@@ -184,6 +220,12 @@ class TestConvergenceCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "N=100, Q=8, M=6" in err and str(2**24) in err
         assert not list(tmp_path.iterdir())
+
+    def test_bad_run_leaves_no_output_dir(self, tmp_path):
+        out = tmp_path / "D"
+        rc = main(["convergence", "--n", "4", "--trials", "0", "--out-dir", str(out)])
+        assert rc == 1
+        assert not out.exists()
 
     def test_single_antenna_single_line(self, tmp_path):
         rc = main(
@@ -286,6 +328,68 @@ class TestConfigFile:
         assert main(["sweep", "--config", str(cfg_file), "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("*.dat"))
+
+
+# Header lines recorded before the option table replaced the hand-written
+# header: every output file starts with one, and every digest depends on it.
+DEFAULT_HEADER = (
+    "n=10 users=1 trials=150 seed=7 solvers=vss q_bins=4 power_dbm=10 "
+    "noise_dbm=-90 room=50 height=3 freq_ghz=28 neff=1.4 feed_x=auto"
+)
+EVERY_KEY_HEADER = (
+    "n=5,10,15,20,3 users=2 trials=3 seed=11 solvers=brute_force,best_singleton,vss "
+    "q_bins=6 power_dbm=12.5 noise_dbm=-87.25 room=40.5 height=2.75 "
+    "freq_ghz=27.125 neff=1.45 feed_x=-3.5"
+)
+EVERY_KEY = {
+    "n": "5..20:5,3",
+    "users": "2",
+    "trials": "3",
+    "seed": "11",
+    "solvers": "brute,singleton,vss",
+    "q_bins": "6",
+    "power_dbm": "12.5",
+    "noise_dbm": "-87.25",
+    "room": "40.5",
+    "height": "2.75",
+    "freq_ghz": "27.125",
+    "neff": "1.45",
+    "feed_x": "-3.5",
+    "out_dir": "elsewhere",
+    "format": "csv",
+}
+
+
+class TestHeader:
+    @staticmethod
+    def header(argv):
+        args = build_parser().parse_args(argv)
+        return _resolve(args, need_solvers=args.command == "sweep").header_line()
+
+    @pytest.mark.parametrize("command", ["sweep", "convergence"])
+    def test_defaults(self, command):
+        assert self.header([command, "--n", "10"]) == DEFAULT_HEADER
+
+    def test_every_key_by_flags(self):
+        flags = [
+            text for key, value in EVERY_KEY.items()
+            for text in ("--" + key.replace("_", "-"), value)
+        ]
+        assert self.header(["sweep", *flags]) == EVERY_KEY_HEADER
+
+    def test_every_key_by_config_file(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in EVERY_KEY.items()))
+        assert self.header(["sweep", "--config", str(cfg_file)]) == EVERY_KEY_HEADER
+
+    def test_written_file_carries_it(self, tmp_path):
+        assert main(["sweep", "--n", "10", "--trials", "1", "--out-dir", str(tmp_path)]) == 0
+        first = (tmp_path / "vss_rate_vs_N.dat").read_text().splitlines()[0]
+        assert first == "# " + DEFAULT_HEADER.replace("trials=150", "trials=1")
+
+    def test_default_system_config_is_the_dataclass_default(self):
+        cli = _resolve(build_parser().parse_args(["sweep", "--n", "10"]), True)
+        assert cli.system_config(10) == SystemConfig(n_antennas=10)
 
 
 def test_bad_feed_x_flag_says_number_or_auto(tmp_path, capsys):
