@@ -9,8 +9,6 @@ plus a seeded Monte Carlo harness and a CLI for experiment reproduction.
 from .baselines import best_singleton, brute_force_select, greedy_pgga_select
 from .channel import (
     ChannelMatrix,
-    Point3,
-    UserPlacement,
     build_channel_matrix,
     pa_positions,
     sample_users,
@@ -41,12 +39,10 @@ __all__ = [
     "ChannelMatrix",
     "ExperimentSpec",
     "InvariantError",
-    "Point3",
     "SolverResult",
     "Stage",
     "SystemConfig",
     "TrialRecord",
-    "UserPlacement",
     "VssTrace",
     "accumulated_signal",
     "best_singleton",

@@ -6,11 +6,13 @@ part once, and scores each high subset against the whole low table in one
 numpy row, so every one of the 2^N - 1 non-empty masks is screened without a
 per-subset Python step and without an array of 2^N entries. A first pass keeps
 each row's maximum; a second recomputes only the rows that reach the
-near-maximal floor and rescores their masks in canonical order with
-``maxmin_metric``, one row at a time, so the screening sums never become the
-answer and no more than one row of candidates is held: the reported optimum is
-directly comparable (bit-for-bit) with the trellis solver's output. A user
-whose gains are all zero makes every mask score 0, and the tie key alone
+near-maximal floor and rescores their masks one row at a time, grouped by
+active count, with the shared kernel ``metric.worst_user_metric`` on the
+canonical gather-sum of each mask's columns, ``_RESCORE_ROWS`` masks at once.
+The screening sums never become the answer and no more than one row of
+candidates is held: the reported optimum is bit-identical to ``maxmin_metric``
+and directly comparable with the trellis solver's output. A user whose gains
+are all zero makes every mask score 0, and the tie key alone
 picks the answer without a search. It refuses arrays larger than
 ``BRUTE_FORCE_CAP`` (24) antennas before any work, with a message that states
 the subset count and the working-memory bound. The tests validate it against
@@ -36,7 +38,7 @@ import math
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
-from .metric import ActivationVector, SolverResult, maxmin_metric, worst_user_metric
+from .metric import ActivationVector, SolverResult, worst_user_metric
 
 BRUTE_FORCE_CAP = 24
 
@@ -46,6 +48,10 @@ _LOW_BITS = 12
 # Relative slack used to shortlist near-maximal masks from the screening sums;
 # generously wider than any rounding their addition order can introduce.
 _SHORTLIST_RTOL = 1e-9
+
+# Shortlisted masks gathered at once when rescoring: keeps the (M, rows,
+# active) gather of a many-way tie well inside the working-memory bound.
+_RESCORE_ROWS = 64
 
 
 def _working_bytes(n_antennas: int, n_users: int) -> int:
@@ -77,16 +83,6 @@ def _subset_table(columns: np.ndarray) -> np.ndarray:
     return table
 
 
-def _mask_to_activation(mask: int, n_antennas: int) -> ActivationVector:
-    return ActivationVector(tuple((mask >> i) & 1 for i in range(n_antennas)))
-
-
-def _tie_key(metric: float, activation: ActivationVector) -> tuple:
-    # maximise metric; break ties by fewer active antennas, then by the
-    # lexicographically smallest mask sequence
-    return (-metric, activation.active_count, activation.mask)
-
-
 def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     """Enumerate every non-empty activation and return the max-min optimum."""
     gains = as_gains(B)
@@ -96,8 +92,9 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     if not gains.any(axis=1).all():
         # every mask scores exactly 0, so the tie key alone decides: one
         # active antenna, and of those the smallest mask, the last antenna
-        activation = ActivationVector.singleton(n_antennas, n_antennas - 1)
-        return SolverResult(activation, maxmin_metric(gains, activation), evaluations)
+        return SolverResult(
+            ActivationVector.singleton(n_antennas, n_antennas - 1), 0.0, evaluations
+        )
 
     # mask = low | high << k; row h scores high subset h with every low subset
     k = min(n_antennas, _LOW_BITS)
@@ -127,17 +124,33 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     row_max = np.array([score_row(h).max() for h in range(high.shape[1])])
     floor = row_max.max() * (1.0 - _SHORTLIST_RTOL)
 
-    # rescore the near-maximal masks in canonical order, row by row; exact
-    # ties resolved by the deterministic key
-    best = None
+    # rescore the near-maximal masks row by row with the shared kernel, one
+    # popcount group at a time; exact ties go to fewer antennas, then to the
+    # lexicographically smallest mask sequence
+    low_bits = _subset_table(np.eye(k, dtype=bool)).T  # row s: the bits of s
+    high_bits = _subset_table(np.eye(n_antennas - k, dtype=bool)).T
+    keys = []
     for h in np.flatnonzero(row_max >= floor).tolist():
-        for mask in (np.flatnonzero(score_row(h) >= floor) | (h << k)).tolist():
-            activation = _mask_to_activation(mask, n_antennas)
-            metric = maxmin_metric(gains, activation)
-            key = _tie_key(metric, activation)
-            if best is None or key < best[0]:
-                best = (key, metric, activation)
-    return SolverResult(best[2], best[1], evaluations)
+        lows = np.flatnonzero(score_row(h) >= floor)
+        block = np.empty((len(lows), n_antennas), dtype=bool)
+        block[:, :k] = low_bits[lows]
+        block[:, k:] = high_bits[h]
+        counts = block.sum(axis=1)
+        for c in np.flatnonzero(np.bincount(counts)).tolist():
+            group = block[counts == c]
+            chunks = []
+            for i in range(0, len(group), _RESCORE_ROWS):
+                # every row holds c antennas, so the nonzero columns reshape to
+                # one ascending index row per mask, summed as maxmin_metric sums
+                idx = np.nonzero(group[i : i + _RESCORE_ROWS])[1].reshape(-1, c)
+                chunks.append(worst_user_metric(gains[:, idx].sum(axis=2).T, c))
+            metrics = np.concatenate(chunks)
+            metric = float(metrics.max())
+            tied = group[metrics == metric]
+            first = np.lexsort(tied.T[::-1])[0]  # column 0 is the primary key
+            keys.append((-metric, c, tuple(tied[first].tolist())))
+    neg_metric, _, mask = min(keys)
+    return SolverResult(ActivationVector(mask), -neg_metric, evaluations)
 
 
 def best_singleton(B: "ChannelMatrix | np.ndarray") -> SolverResult:

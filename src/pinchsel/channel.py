@@ -9,40 +9,14 @@ complex gains is everything the selection algorithms need.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import SystemConfig
 
 _SEED_MASK = (1 << 64) - 1
-
-
-class Point3(NamedTuple):
-    x: float
-    y: float
-    z: float
-
-
-@dataclass(frozen=True)
-class UserPlacement:
-    """Ground-plane user positions (z = 0 for every user)."""
-
-    positions: tuple[Point3, ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple(Point3(*p) for p in self.positions)
-        for p in pts:
-            if not all(math.isfinite(c) for c in p):
-                raise ValueError(f"non-finite user coordinate {p}")
-            if p.z != 0.0:
-                raise ValueError(f"users must lie on the ground plane, got z={p.z}")
-        object.__setattr__(self, "positions", pts)
-
-    def __len__(self) -> int:
-        return len(self.positions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,32 +46,36 @@ class ChannelMatrix:
         return self.gains.shape[1]
 
 
-def pa_positions(config: SystemConfig) -> list[Point3]:
-    """Antenna positions: uniform along the guide, centred on the room.
+def pa_positions(config: SystemConfig) -> np.ndarray:
+    """Antenna positions as an (N, 3) array: uniform along the guide, centred
+    on the room.
 
     The n-th element (1-indexed) sits at x = -L/2 + (2n - 1) L / (2N),
     y = 0, z = H, so spacing is exactly L/N and the layout is symmetric
     about x = 0.
     """
     n, L, H = config.n_antennas, config.room_side, config.height
-    return [
-        Point3(-L / 2.0 + (2 * k - 1) * L / (2.0 * n), 0.0, H)
-        for k in range(1, n + 1)
-    ]
+    k = np.arange(1, n + 1)
+    x = -L / 2.0 + (2 * k - 1) * L / (2.0 * n)
+    return np.column_stack((x, np.zeros(n), np.full(n, H)))
 
 
-def build_channel_matrix(config: SystemConfig, users: UserPlacement) -> ChannelMatrix:
-    """Assemble the M x N effective gain matrix for one placement.
+def build_channel_matrix(config: SystemConfig, users: np.ndarray) -> ChannelMatrix:
+    """Assemble the M x N effective gain matrix for one placement, given as
+    the (M, 2) ground-plane (x, y) positions of ``sample_users``.
 
     Vectorised; the tests check it element by element against a scalar
     reference, the free-space gain times the in-guide phase of each pair.
     """
-    if len(users) != config.n_users:
-        raise ValueError(
-            f"placement has {len(users)} users, config expects {config.n_users}"
-        )
-    pa_xyz = np.asarray(pa_positions(config), dtype=float)        # (N, 3)
-    user_xyz = np.asarray(users.positions, dtype=float)           # (M, 3)
+    xy = np.asarray(users, dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"user positions must be an (M, 2) array, got shape {xy.shape}")
+    if len(xy) != config.n_users:
+        raise ValueError(f"placement has {len(xy)} users, config expects {config.n_users}")
+    if not np.all(np.isfinite(xy)):
+        raise ValueError("user positions must be finite")
+    pa_xyz = pa_positions(config)                                  # (N, 3)
+    user_xyz = np.column_stack((xy, np.zeros(len(xy))))           # (M, 3), z = 0
     dist = np.linalg.norm(user_xyz[:, None, :] - pa_xyz[None, :, :], axis=2)
     h = np.exp(-2j * np.pi * dist / config.wavelength) / dist
     guide_dist = np.abs(pa_xyz[:, 0] - config.feed_x)
@@ -105,14 +83,12 @@ def build_channel_matrix(config: SystemConfig, users: UserPlacement) -> ChannelM
     return ChannelMatrix(gains=h * g[None, :], config_snapshot=config)
 
 
-def sample_users(seed: int, config: SystemConfig) -> UserPlacement:
-    """Draw ``n_users`` positions uniformly over the square service area."""
+def sample_users(seed: int, config: SystemConfig) -> np.ndarray:
+    """Draw ``n_users`` (x, y) positions uniformly over the square service
+    area, as an (M, 2) array; users stand on the ground plane."""
     rng = np.random.default_rng(seed & _SEED_MASK)
     half = config.room_side / 2.0
-    xy = rng.uniform(-half, half, size=(config.n_users, 2))
-    return UserPlacement(
-        positions=tuple(Point3(float(x), float(y), 0.0) for x, y in xy)
-    )
+    return rng.uniform(-half, half, size=(config.n_users, 2))
 
 
 def as_gains(B: "ChannelMatrix | np.ndarray | Sequence") -> np.ndarray:

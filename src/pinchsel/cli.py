@@ -224,7 +224,9 @@ def _resolve(args: argparse.Namespace, need_solvers: bool) -> CliConfig:
     if values["format"] not in ("dat", "csv", "both"):
         raise ValueError(f"--format must be dat, csv or both, got {values['format']!r}")
     values["n"] = parse_n_values(values["n"])
-    values["solvers"] = parse_solvers(values["solvers"]) if need_solvers else ("vss",)
+    # a file's solvers key is checked for every command; convergence runs vss
+    solvers = parse_solvers(values["solvers"])
+    values["solvers"] = solvers if need_solvers else ("vss",)
     return CliConfig(values)
 
 

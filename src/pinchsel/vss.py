@@ -178,23 +178,13 @@ def stage_expand(
     return Stage(masks[win], signals[win], metrics[win], buckets[win], row[win])
 
 
-def vss_select(
-    B: "ChannelMatrix | np.ndarray",
-    n_bins: int | None = None,
-    verify_incremental: bool = False,
-) -> SolverResult:
-    """Run the trellis search and return the best survivor across all stages.
+def vss_select(B: "ChannelMatrix | np.ndarray", n_bins: int) -> SolverResult:
+    """Run the trellis search with ``n_bins`` phase bins per user and return
+    the best survivor across all stages.
 
-    ``n_bins`` defaults to the channel's configured phase-bin count when a
-    ChannelMatrix is given; it must be passed explicitly for bare arrays.
     Raises ``ValueError`` before the first stage when ``check_block_size``
     refuses the size.
     """
-    if n_bins is None:
-        if isinstance(B, ChannelMatrix):
-            n_bins = B.config_snapshot.phase_bins
-        else:
-            raise ValueError("n_bins is required when B is a bare gain array")
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     gains = as_gains(B)
@@ -208,7 +198,7 @@ def vss_select(
     best_metric, best_mask, best_stage = -math.inf, None, 0
     for tau in range(1, n_antennas + 1):
         evaluations += int(np.count_nonzero(~stage.masks))
-        stage = stage_expand(stage, gains, n_bins, verify_incremental)
+        stage = stage_expand(stage, gains, n_bins)
         if not len(stage):
             break
         row = int(np.argmax(stage.metrics))

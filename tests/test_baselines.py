@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from pinchsel.baselines import (
-    _mask_to_activation,
-    _tie_key,
     _working_bytes,
     best_singleton,
     brute_force_select,
@@ -20,8 +18,19 @@ from pinchsel.metric import ActivationVector, SolverResult, maxmin_metric
 from pinchsel.vss import vss_select
 
 
+def _mask_to_activation(mask, n_antennas):
+    return ActivationVector(tuple((mask >> i) & 1 for i in range(n_antennas)))
+
+
+def _tie_key(metric, activation):
+    # maximise metric; break ties by fewer active antennas, then by the
+    # lexicographically smallest mask sequence
+    return (-metric, activation.active_count, activation.mask)
+
+
 def _brute_force_naive(gains):
-    """Reference oracle: rescore every subset from scratch, same tie rule."""
+    """Reference oracle: rescore every subset from scratch with
+    ``maxmin_metric``, same tie rule."""
     n_antennas = gains.shape[1]
     best = None
     for mask in range(1, 1 << n_antennas):
@@ -149,6 +158,40 @@ class TestBruteForce:
         assert fast.metric == slow.metric == 0.0
         assert fast.activation == slow.activation
         assert peak < _working_bytes(13, 14)
+
+    def test_all_masks_tied_at_17_users_16_antennas(self):
+        # the instance above at 17 x 16: all 65,535 masks score exactly 0 and
+        # are rescored in popcount groups of bounded row chunks
+        B = np.vstack([np.eye(16), [1.0, -1.0] + [0.0] * 14]).astype(complex)
+        tracemalloc.start()
+        try:
+            res = brute_force_select(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.metric == 0.0
+        assert res.activation.indices == (15,)  # fewest antennas, smallest mask
+        assert peak < _working_bytes(16, 17)
+
+    @pytest.mark.parametrize(
+        "n_users,n_base,seed",
+        # exact optima tied at 8, 9 and 5 antennas in screening rows 1 and 2,
+        # where the fewest antennas win over the smallest mask; at 9 and 5
+        # antennas in rows 1, 2 and 3; at 4 and 8 antennas in rows 0, 1 and 2,
+        # where the smallest mask wins across rows
+        [(2, 4, 131), (3, 6, 230), (3, 4, 6)],
+    )
+    def test_matches_naive_on_ties_across_rows_and_popcounts(self, n_users, n_base, seed):
+        # N=14 repeats of a few lattice columns: every partial sum is exact
+        rng = np.random.default_rng([14, n_users, n_base, seed])
+        levels = np.array([-1.0, 1.0])
+        shape = (n_users, n_base)
+        base = levels[rng.integers(0, 2, shape)] + 1j * levels[rng.integers(0, 2, shape)]
+        B = base[:, rng.integers(0, n_base, 14)]
+        fast = brute_force_select(B)
+        slow = _brute_force_naive(B)
+        assert fast.metric == slow.metric
+        assert fast.activation == slow.activation
 
     @pytest.mark.parametrize("n_antennas", [1, 2, 5, 8, 10, 12, 13, 14, 16])
     def test_matches_naive(self, n_antennas):

@@ -227,6 +227,19 @@ class TestConvergenceCommand:
         assert rc == 1
         assert not out.exists()
 
+    def test_bad_solvers_key_exits_one_as_sweep_does(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("solvers = magic\n")
+        out = tmp_path / "out"
+        errors = []
+        for command in ("sweep", "convergence"):
+            args = [command, "--n", "5", "--config", str(cfg_file), "--out-dir", str(out)]
+            assert main(args) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[1].startswith("error: unknown solver 'magic'")
+        assert not out.exists()
+
     def test_single_antenna_single_line(self, tmp_path):
         rc = main(
             [

@@ -30,7 +30,7 @@ def test_user_count_runs_share_user_zero():
     seed = derive_seed(7, 50, 3)
     one = sample_users(seed, SystemConfig(n_antennas=50, n_users=1))
     two = sample_users(seed, SystemConfig(n_antennas=50, n_users=2))
-    assert two.positions[0] == one.positions[0]
+    assert two[0].tolist() == one[0].tolist()
 
 
 def test_run_trial_deterministic():

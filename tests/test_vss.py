@@ -196,15 +196,6 @@ class TestVssSelect:
         res = vss_select(B, 4)
         assert res.metric <= brute_force_select(B).metric
 
-    def test_n_bins_from_config(self):
-        cfg = SystemConfig(n_antennas=6, n_users=1, phase_bins=2)
-        B = build_channel_matrix(cfg, sample_users(1, cfg))
-        assert vss_select(B) == vss_select(B, 2)
-
-    def test_bare_array_requires_n_bins(self):
-        with pytest.raises(ValueError):
-            vss_select(np.array([[1.0 + 0j]]))
-
     def test_degenerate_all_zero_matrix(self):
         with pytest.raises(ValueError):
             vss_select(np.zeros((1, 3), dtype=complex), 4)
@@ -212,11 +203,6 @@ class TestVssSelect:
     def test_deterministic(self):
         B = _random_gains(9, 2, 9)
         assert vss_select(B, 4) == vss_select(B, 4)
-
-    def test_incremental_consistency_flag(self):
-        B = _random_gains(10, 2, 10)
-        res = vss_select(B, 4, verify_incremental=True)
-        assert res.metric > 0
 
 
 class TestStageExpand:
