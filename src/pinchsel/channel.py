@@ -37,14 +37,6 @@ class ChannelMatrix:
         g.setflags(write=False)
         object.__setattr__(self, "gains", g)
 
-    @property
-    def n_users(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def n_antennas(self) -> int:
-        return self.gains.shape[1]
-
 
 def pa_positions(config: SystemConfig) -> np.ndarray:
     """Antenna positions as an (N, 3) array: uniform along the guide, centred

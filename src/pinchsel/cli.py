@@ -162,11 +162,13 @@ class CliConfig:
         return self.values[key]
 
     def system_config(self, n_antennas: int) -> SystemConfig:
-        fields = {
-            opt.field: opt.to_field(self.values[key])
-            for key, opt in _OPTIONS.items()
-            if opt.field
-        }
+        fields = {}
+        for key, opt in _OPTIONS.items():
+            if opt.field:
+                try:
+                    fields[opt.field] = opt.to_field(self.values[key])
+                except ValueError as exc:  # a dBm power beyond the float range
+                    raise ValueError(f"{key}: {exc}") from None
         return SystemConfig(n_antennas=n_antennas, **fields)
 
     def header_line(self) -> str:
@@ -283,7 +285,7 @@ def write_sweep_outputs(cli: CliConfig, agg) -> list[Path]:
     written: list[Path] = []
     if cli["format"] in ("dat", "both"):
         for solver in cli["solvers"]:
-            rows = [(float(n), agg.get(n, solver).mean_min_rate) for n in cli["n"]]
+            rows = [(float(n), agg[n, solver].mean_min_rate) for n in cli["n"]]
             path = out_dir / f"{solver}_rate_vs_N.dat"
             _write_rows(path, header, rows, x_as_int=True)
             written.append(path)
@@ -295,7 +297,7 @@ def write_sweep_outputs(cli: CliConfig, agg) -> list[Path]:
             writer.writerow(["N", "solver", "mean_rate", "mean_evals", "mean_active_count"])
             for n in cli["n"]:
                 for solver in cli["solvers"]:
-                    e = agg.get(n, solver)
+                    e = agg[n, solver]
                     writer.writerow(
                         [n, solver, e.mean_min_rate, e.mean_evaluations, e.mean_active_count]
                     )
@@ -325,14 +327,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     cli = _resolve(args, need_solvers=False)
-    _spec(cli)  # refuses a bad run before the output directory exists
+    curves = run_convergence(_spec(cli))  # a bad run is refused before any file
     out_dir, header = cli["out_dir"], cli.header_line()
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = {}
-    for n in cli["n"]:
-        curve = run_convergence(cli.system_config(n), cli["trials"], cli["seed"])
-        curves[n] = curve
-        if cli["format"] in ("dat", "both"):
+    if cli["format"] in ("dat", "both"):
+        for n, curve in curves.items():
             rows = [(float(stage), rate) for stage, rate in enumerate(curve, start=1)]
             path = out_dir / f"conv_N{n}_M{cli['users']}.dat"
             _write_rows(path, header, rows, x_as_int=True)
@@ -343,8 +342,8 @@ def cmd_convergence(args: argparse.Namespace) -> int:
             fh.write(f"# {header}\n")
             writer = csv.writer(fh)
             writer.writerow(["N", "stage", "mean_rate"])
-            for n in cli["n"]:
-                for stage, rate in enumerate(curves[n], start=1):
+            for n, curve in curves.items():
+                for stage, rate in enumerate(curve, start=1):
                     writer.writerow([n, stage, rate])
         print(f"wrote {path}")
     return 0

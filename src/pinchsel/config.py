@@ -15,13 +15,22 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 def dbm_to_watts(dbm: float) -> float:
     """Convert a power level in dBm to watts (-90 dBm -> 1e-12 W)."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{dbm:g} dBm is too large to convert to watts") from None
 
 
 def watts_to_dbm(watts: float) -> float:
     if watts <= 0.0:
         raise ValueError(f"power must be positive, got {watts}")
     return 10.0 * math.log10(watts) + 30.0
+
+
+_FLOAT_FIELDS = (
+    "room_side", "height", "carrier_freq", "refractive_index",
+    "tx_power", "noise_power", "feed_x",
+)
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,12 @@ class SystemConfig:
     feed_x: float | None = None      # m; None -> -room_side / 2
 
     def __post_init__(self) -> None:
+        if self.feed_x is None:
+            object.__setattr__(self, "feed_x", -self.room_side / 2.0)
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_antennas < 1:
             raise ValueError(f"n_antennas must be >= 1, got {self.n_antennas}")
         if self.n_users < 1:
@@ -67,12 +82,8 @@ class SystemConfig:
             raise ValueError(f"tx_power must be positive, got {self.tx_power}")
         if not self.noise_power > 0.0:
             raise ValueError(f"noise_power must be positive, got {self.noise_power}")
-        if self.feed_x is None:
-            object.__setattr__(self, "feed_x", -self.room_side / 2.0)
         if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
             raise ValueError(f"degenerate wavelength {self.wavelength}")
-        if not math.isfinite(self.feed_x):
-            raise ValueError(f"feed_x must be finite, got {self.feed_x}")
 
     @property
     def wavelength(self) -> float:

@@ -10,7 +10,7 @@ placement and are paired comparisons.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .baselines import (
@@ -80,28 +80,16 @@ class ExperimentSpec:
         object.__setattr__(self, "solvers", tuple(self.solvers))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_index: int
-    n_antennas: int
-    seed: int
-    results: dict[str, SolverResult] = field(default_factory=dict)
-
-
 def run_trial(
-    config: SystemConfig,
-    seed: int,
-    solvers: tuple[str, ...],
-    trial_index: int = 0,
-) -> TrialRecord:
-    """Sample one placement, build the channel once, run every solver on it."""
+    config: SystemConfig, seed: int, solvers: tuple[str, ...]
+) -> dict[str, SolverResult]:
+    """Sample one placement, build the channel once, run every solver on it;
+    return each solver's result by name."""
     users = sample_users(seed, config)
     B = build_channel_matrix(config, users)
     results = {solver: SOLVERS[solver](B) for solver in solvers}
     _check_invariants(config, results)
-    return TrialRecord(
-        trial_index=trial_index, n_antennas=config.n_antennas, seed=seed, results=results
-    )
+    return results
 
 
 # Exact orderings between solvers run on the same channel: a lower rank never
@@ -133,24 +121,11 @@ def _check_invariants(config: SystemConfig, results: dict[str, SolverResult]) ->
 
 @dataclass(frozen=True)
 class SolverAggregate:
-    n_antennas: int
-    solver: str
     mean_min_rate: float
     mean_evaluations: float
     mean_active_count: float
     mean_termination_stage: float | None = None
     stage_rates: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    entries: tuple[SolverAggregate, ...]
-
-    def get(self, n_antennas: int, solver: str) -> SolverAggregate:
-        for e in self.entries:
-            if e.n_antennas == n_antennas and e.solver == solver:
-                return e
-        raise KeyError(f"no aggregate for N={n_antennas}, solver={solver}")
 
 
 def mean_stage_curve(curves: list[tuple[float, ...]]) -> tuple[float, ...]:
@@ -165,17 +140,18 @@ def mean_stage_curve(curves: list[tuple[float, ...]]) -> tuple[float, ...]:
     )
 
 
-def run_sweep(spec: ExperimentSpec) -> AggregateResult:
-    """Run ``n_trials`` trials per antenna count and aggregate per solver."""
-    entries: list[SolverAggregate] = []
+def run_sweep(spec: ExperimentSpec) -> dict[tuple[int, str], SolverAggregate]:
+    """Run ``n_trials`` trials per antenna count and aggregate per solver,
+    keyed by (antenna count, solver)."""
+    entries: dict[tuple[int, str], SolverAggregate] = {}
     for n in spec.n_values:
         config = spec.base_config.with_antennas(n)
         records = [
-            run_trial(config, derive_seed(spec.seed, n, t), spec.solvers, trial_index=t)
+            run_trial(config, derive_seed(spec.seed, n, t), spec.solvers)
             for t in range(spec.n_trials)
         ]
         for solver in spec.solvers:
-            trials = [r.results[solver] for r in records]
+            trials = [r[solver] for r in records]
             rates = [rate_from_metric(config, t.metric) for t in trials]
             k = len(trials)
             term = None
@@ -187,30 +163,18 @@ def run_sweep(spec: ExperimentSpec) -> AggregateResult:
                 # to a rate (the curve the convergence plots report)
                 mean_metrics = mean_stage_curve([t.running_best for t in traces])
                 curve = tuple(rate_from_metric(config, m) for m in mean_metrics)
-            entries.append(
-                SolverAggregate(
-                    n_antennas=n,
-                    solver=solver,
-                    mean_min_rate=sum(rates) / k,
-                    mean_evaluations=sum(t.evaluations for t in trials) / k,
-                    mean_active_count=sum(t.activation.active_count for t in trials) / k,
-                    mean_termination_stage=term,
-                    stage_rates=curve,
-                )
+            entries[n, solver] = SolverAggregate(
+                mean_min_rate=sum(rates) / k,
+                mean_evaluations=sum(t.evaluations for t in trials) / k,
+                mean_active_count=sum(t.activation.active_count for t in trials) / k,
+                mean_termination_stage=term,
+                stage_rates=curve,
             )
-    return AggregateResult(entries=tuple(entries))
+    return entries
 
 
-def run_convergence(
-    config: SystemConfig, n_trials: int, seed: int
-) -> tuple[float, ...]:
-    """Mean running-best rate per trellis stage over seeded trials."""
-    spec = ExperimentSpec(
-        base_config=config,
-        n_values=(config.n_antennas,),
-        solvers=("vss",),
-        n_trials=n_trials,
-        seed=seed,
-    )
+def run_convergence(spec: ExperimentSpec) -> dict[int, tuple[float, ...]]:
+    """Mean running-best rate per trellis stage for each antenna count of a
+    trellis-only spec, from one sweep."""
     agg = run_sweep(spec)
-    return agg.get(config.n_antennas, "vss").stage_rates
+    return {n: agg[n, "vss"].stage_rates for n in spec.n_values}

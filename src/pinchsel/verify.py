@@ -93,10 +93,8 @@ def _oracle_batch(
     gap_sum = 0.0
     max_rel_gap = 0.0
     for t in range(n_trials):
-        rec = run_trial(
-            config, derive_seed(seed, n_antennas, t), ("vss", "brute_force"), t
-        )
-        v, b = rec.results["vss"], rec.results["brute_force"]
+        results = run_trial(config, derive_seed(seed, n_antennas, t), ("vss", "brute_force"))
+        v, b = results["vss"], results["brute_force"]
         if math.isclose(v.metric, b.metric, rel_tol=1e-9):
             matches += 1
         b_rate, v_rate = (rate_from_metric(config, r.metric) for r in (b, v))
@@ -136,9 +134,11 @@ def _random_gains(rng: np.random.Generator, n_users: int, n_antennas: int) -> np
 def stage_problems(prev: Stage, nxt: Stage, gains: np.ndarray, n_bins: int) -> list[str]:
     """Every per-stage invariant that ``nxt``, expanded from ``prev``, breaks:
     buckets unique, ascending and in [0, Q^M); metrics strictly above the
-    parent row's; each bucket that of the canonical signal of its mask; each
-    metric bit-identical to ``maxmin_metric``. The canonical bucket comes from
-    the scalar ``quantize_phase``, not from the ``bucket_codes`` under check."""
+    parent row's; each mask its parent's plus one antenna, with a stored
+    signal within 1e-10 (relative) of the parent's signal plus that antenna's
+    gains; each bucket that of the canonical signal of its mask; each metric
+    bit-identical to ``maxmin_metric``. The canonical bucket comes from the
+    scalar ``quantize_phase``, not from the ``bucket_codes`` under check."""
     n_buckets = n_bins ** gains.shape[0]
     quant = vss_mod.quantize_phase
     problems: list[str] = []
@@ -146,14 +146,27 @@ def stage_problems(prev: Stage, nxt: Stage, gains: np.ndarray, n_bins: int) -> l
         problems.append(f"{len(nxt)} survivors for {n_buckets} buckets")
     if np.any(np.diff(nxt.buckets) <= 0):
         problems.append(f"buckets not strictly ascending: {nxt.buckets.tolist()}")
-    for mask, metric, bucket, parent in zip(
-        nxt.masks, nxt.metrics.tolist(), nxt.buckets.tolist(), nxt.parents.tolist()
+    for mask, signal, metric, bucket, parent in zip(
+        nxt.masks, nxt.signals, nxt.metrics.tolist(), nxt.buckets.tolist(),
+        nxt.parents.tolist(),
     ):
         activation = ActivationVector(tuple(mask.tolist()))
         if not 0 <= bucket < n_buckets:
             problems.append(f"bucket {bucket} outside [0, {n_buckets})")
         if not (0 <= parent < len(prev) and metric > prev.metrics[parent]):
             problems.append("non-increasing metric along a path")
+        else:
+            added = np.flatnonzero(mask != prev.masks[parent])
+            if len(added) != 1 or not mask[added[0]]:
+                problems.append("mask is not its parent's plus one antenna")
+            else:
+                z_inc = prev.signals[parent] + gains[:, added[0]]
+                bad = np.abs(z_inc - signal) > 1e-10 * (1.0 + np.abs(signal))
+                if bad.any():
+                    problems.append(
+                        "incremental/canonical accumulated-signal mismatch: "
+                        f"{complex(z_inc[bad][0])} vs {complex(signal[bad][0])}"
+                    )
         canonical = 0
         for z in accumulated_signal(gains, activation).tolist():
             canonical = canonical * n_bins + quant(math.atan2(z.imag, z.real), n_bins)
@@ -178,22 +191,19 @@ def check_trellis_invariants(quick: bool, seed: int) -> tuple[bool, str]:
         # result vss_select must return: two independent expansions agree
         stage = root_stage(n_antennas, n_users, n_bins)
         evaluations, running_best, survivors = 0, [], []
-        best_metric, best_mask, best_stage = -math.inf, None, 0
+        best_metric, best_mask = -math.inf, None
         while len(stage):
             evaluations += int(np.count_nonzero(~stage.masks))
-            nxt = stage_expand(stage, gains, n_bins, verify_incremental=True)
+            nxt = stage_expand(stage, gains, n_bins)
             problems.extend(stage_problems(stage, nxt, gains, n_bins))
             if len(nxt):
                 row = int(np.argmax(nxt.metrics))
                 if nxt.metrics[row] > best_metric:
                     best_metric, best_mask = float(nxt.metrics[row]), nxt.masks[row]
-                    best_stage = len(running_best) + 1
                 running_best.append(best_metric)
                 survivors.append(len(nxt))
             stage = nxt
-        trace = VssTrace(
-            tuple(running_best), len(running_best), best_stage, evaluations, tuple(survivors)
-        )
+        trace = VssTrace(tuple(running_best), len(running_best), evaluations, tuple(survivors))
         activation = ActivationVector(tuple(best_mask.tolist()))
         res = vss_select(gains, n_bins)
         if res != SolverResult(activation, best_metric, evaluations, trace):
@@ -223,9 +233,7 @@ def check_complexity_bound(quick: bool, seed: int) -> tuple[bool, str]:
         config = SystemConfig(n_antennas=n_antennas, n_users=1)
         bound = config.phase_bins**config.n_users * n_antennas**2
         evals[n_antennas] = [
-            run_trial(config, derive_seed(seed, n_antennas, t), ("vss",), t)
-            .results["vss"]
-            .evaluations
+            run_trial(config, derive_seed(seed, n_antennas, t), ("vss",))["vss"].evaluations
             for t in range(trials)
         ]
         # run_trial raises above 1, here and in the oracle checks

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
-from .metric import ActivationVector, InvariantError, SolverResult, worst_user_metric
+from .metric import ActivationVector, SolverResult, worst_user_metric
 
 # Cap on the (antennas x buckets x users) candidate block one stage may hold:
 # 2^24 complex entries is 256 MiB.
@@ -107,7 +107,6 @@ class VssTrace:
 
     running_best: tuple[float, ...]
     termination_stage: int
-    best_stage: int
     metric_evaluations: int
     survivors_per_stage: tuple[int, ...]
 
@@ -133,12 +132,7 @@ def root_stage(n_antennas: int, n_users: int, n_bins: int) -> Stage:
     )
 
 
-def stage_expand(
-    stage: Stage,
-    gains: np.ndarray,
-    n_bins: int,
-    verify_incremental: bool = False,
-) -> Stage:
+def stage_expand(stage: Stage, gains: np.ndarray, n_bins: int) -> Stage:
     """Expand one stage into the next: screen every (antenna, parent row)
     extension at once, keep the best per bucket, rebuild the winners.
 
@@ -165,14 +159,6 @@ def stage_expand(
     metrics = worst_user_metric(signals, active)
     keep = metrics > stage.metrics[row]  # re-check the gate on the canonical value
     masks, signals, metrics, row = masks[keep], signals[keep], metrics[keep], row[keep]
-    if verify_incremental:
-        z_inc = z[antenna[keep], row]
-        bad = np.abs(z_inc - signals) > 1e-10 * (1.0 + np.abs(signals))
-        if bad.any():
-            raise InvariantError(
-                "incremental/canonical accumulated-signal mismatch: "
-                f"{complex(z_inc[bad][0])} vs {complex(signals[bad][0])}"
-            )
     buckets = bucket_codes(signals, n_bins)
     win = _best_per_bucket(buckets, metrics)
     return Stage(masks[win], signals[win], metrics[win], buckets[win], row[win])
@@ -195,8 +181,8 @@ def vss_select(B: "ChannelMatrix | np.ndarray", n_bins: int) -> SolverResult:
     evaluations = 0
     running_best: list[float] = []
     survivors_per_stage: list[int] = []
-    best_metric, best_mask, best_stage = -math.inf, None, 0
-    for tau in range(1, n_antennas + 1):
+    best_metric, best_mask = -math.inf, None
+    for _ in range(n_antennas):
         evaluations += int(np.count_nonzero(~stage.masks))
         stage = stage_expand(stage, gains, n_bins)
         if not len(stage):
@@ -204,7 +190,6 @@ def vss_select(B: "ChannelMatrix | np.ndarray", n_bins: int) -> SolverResult:
         row = int(np.argmax(stage.metrics))
         if stage.metrics[row] > best_metric:
             best_metric, best_mask = float(stage.metrics[row]), stage.masks[row]
-            best_stage = tau
         running_best.append(best_metric)
         survivors_per_stage.append(len(stage))
     if best_mask is None:
@@ -215,7 +200,6 @@ def vss_select(B: "ChannelMatrix | np.ndarray", n_bins: int) -> SolverResult:
     trace = VssTrace(
         running_best=tuple(running_best),
         termination_stage=len(running_best),
-        best_stage=best_stage,
         metric_evaluations=evaluations,
         survivors_per_stage=tuple(survivors_per_stage),
     )

@@ -40,7 +40,7 @@ def test_criterion_4_trellis_dominates_greedy():
         seed=SEED,
     )
     agg = run_sweep(spec)
-    pairs = {n: (agg.get(n, "vss").mean_min_rate, agg.get(n, "pgga").mean_min_rate)
+    pairs = {n: (agg[n, "vss"].mean_min_rate, agg[n, "pgga"].mean_min_rate)
              for n in (10, 20, 30)}
     ok = all(v >= p for v, p in pairs.values())
     _report(
@@ -59,7 +59,7 @@ def test_criterion_5_convergence_shape():
         n_trials=150,
         seed=SEED,
     )
-    entry = run_sweep(spec).get(100, "vss")  # the sweep run_convergence performs
+    entry = run_sweep(spec)[100, "vss"]  # the sweep run_convergence performs
     curve = entry.stage_rates
     mean_term = entry.mean_termination_stage
     non_decreasing = list(curve) == sorted(curve)
@@ -95,8 +95,8 @@ def test_criterion_6_rate_vs_antenna_trend():
             seed=SEED,
         )
     )
-    r1 = {n: single.get(n, "vss").mean_min_rate for n in (5, 50)}
-    r2 = {n: multi.get(n, "vss").mean_min_rate for n in (5, 50)}
+    r1 = {n: single[n, "vss"].mean_min_rate for n in (5, 50)}
+    r2 = {n: multi[n, "vss"].mean_min_rate for n in (5, 50)}
     rising = r1[50] > r1[5]
     multi_below = all(r2[n] <= r1[n] for n in (5, 50))
     ok = rising and multi_below

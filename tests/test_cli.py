@@ -77,6 +77,37 @@ class TestDbmConversion:
     def test_round_trip(self):
         assert watts_to_dbm(dbm_to_watts(3.7)) == pytest.approx(3.7, rel=1e-12)
 
+    def test_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match="4000 dBm"):
+            dbm_to_watts(4000.0)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--power-dbm", "4000"], "power_dbm: 4000 dBm is too large to convert to watts"),
+        (["--noise-dbm", "4000"], "noise_dbm: 4000 dBm is too large to convert to watts"),
+        (["--power-dbm", "inf"], "tx_power must be finite, got inf"),
+        (["--power-dbm", "1e400"], "tx_power must be finite, got inf"),
+        (["--height", "inf"], "height must be finite, got inf"),
+        (["--neff", "inf"], "refractive_index must be finite, got inf"),
+        (["--room", "nan"], "room_side must be finite, got nan"),
+        (["--config", "power_dbm = inf"], "tx_power must be finite, got inf"),
+    ],
+    ids=["power-4000", "noise-4000", "power-inf", "power-1e400", "height-inf", "neff-inf",
+         "room-nan", "file-power-inf"],
+)
+@pytest.mark.parametrize("command", ["sweep", "convergence"])
+def test_non_finite_setting_is_a_usage_error(command, args, message, tmp_path, capsys):
+    if args[0] == "--config":
+        (tmp_path / "run.cfg").write_text(args[1] + "\n")
+        args = ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "out"
+    argv = [command, "--n", "5", "--trials", "1", *args, "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
 
 class TestSweepCommand:
     def test_emits_one_dat_per_solver(self, tmp_path):
@@ -156,7 +187,7 @@ class TestSweepCommand:
         agg = run_sweep(spec)
         assert len(rows) == 4
         for n, solver, mean_rate, mean_evals, mean_active in rows:
-            entry = agg.get(n, solver)
+            entry = agg[n, solver]
             assert mean_rate == entry.mean_min_rate
             assert mean_evals == entry.mean_evaluations
             assert mean_active == entry.mean_active_count
@@ -239,6 +270,28 @@ class TestConvergenceCommand:
         assert errors[0] == errors[1]
         assert errors[1].startswith("error: unknown solver 'magic'")
         assert not out.exists()
+
+    def test_several_n_match_separate_runs(self, tmp_path):
+        # one sweep over every N keeps each N's trials: rows equal those of
+        # one run per N, and only the header's n= differs
+        def run(n_text):
+            out = tmp_path / n_text
+            argv = ["convergence", "--n", n_text, "--trials", "5", "--out-dir", str(out)]
+            assert main(argv) == 0
+            return out
+
+        both = run("50,80")
+        csv_rows = (both / "convergence_summary.csv").read_text().splitlines()[2:]
+        separate_csv_rows = []
+        for n in (50, 80):
+            single = run(str(n))
+            name = f"conv_N{n}_M1.dat"
+            header, *rows = (both / name).read_text().splitlines()
+            single_header, *single_rows = (single / name).read_text().splitlines()
+            assert rows == single_rows
+            assert header.replace("n=50,80 ", f"n={n} ") == single_header
+            separate_csv_rows += (single / "convergence_summary.csv").read_text().splitlines()[2:]
+        assert csv_rows == separate_csv_rows
 
     def test_single_antenna_single_line(self, tmp_path):
         rc = main(

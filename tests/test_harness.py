@@ -35,17 +35,17 @@ def test_user_count_runs_share_user_zero():
 
 def test_run_trial_deterministic():
     cfg = SystemConfig(n_antennas=8, n_users=2)
-    a = run_trial(cfg, 12345, ("vss", "pgga"), trial_index=3)
-    b = run_trial(cfg, 12345, ("vss", "pgga"), trial_index=3)
+    a = run_trial(cfg, 12345, ("vss", "pgga"))
+    b = run_trial(cfg, 12345, ("vss", "pgga"))
     assert a == b
 
 
 def test_run_trial_orderings_hold():
     cfg = SystemConfig(n_antennas=10, n_users=1)
-    rec = run_trial(cfg, 99, ("vss", "brute_force", "best_singleton"))
-    v = rec.results["vss"]
-    b = rec.results["brute_force"]
-    s = rec.results["best_singleton"]
+    results = run_trial(cfg, 99, ("vss", "brute_force", "best_singleton"))
+    v = results["vss"]
+    b = results["brute_force"]
+    s = results["best_singleton"]
     assert s.metric <= v.metric <= b.metric
     assert v.evaluations <= 4 * 10**2
     assert v.trace is not None
@@ -57,7 +57,7 @@ def test_trial_placements_independent_of_solver_set():
     seed = derive_seed(7, 9, 4)
     only_vss = run_trial(cfg, seed, ("vss",))
     both = run_trial(cfg, seed, ("vss", "pgga"))
-    assert only_vss.results["vss"] == both.results["vss"]
+    assert only_vss["vss"] == both["vss"]
 
 
 def test_sweep_reordering_does_not_change_trials():
@@ -69,16 +69,15 @@ def test_sweep_reordering_does_not_change_trials():
         ExperimentSpec(base, n_values=(9, 6), solvers=("vss",), n_trials=5, seed=3)
     )
     for n in (6, 9):
-        assert fwd.get(n, "vss") == rev.get(n, "vss")
+        assert fwd[n, "vss"] == rev[n, "vss"]
 
 
 def test_single_trial_aggregate_equals_trial():
     base = SystemConfig(n_users=1)
     spec = ExperimentSpec(base, n_values=(5,), solvers=("vss",), n_trials=1, seed=11)
     agg = run_sweep(spec)
-    rec = run_trial(base.with_antennas(5), derive_seed(11, 5, 0), ("vss",))
-    entry = agg.get(5, "vss")
-    res = rec.results["vss"]
+    res = run_trial(base.with_antennas(5), derive_seed(11, 5, 0), ("vss",))["vss"]
+    entry = agg[5, "vss"]
     assert entry.mean_min_rate == rate_from_metric(base.with_antennas(5), res.metric)
     assert entry.mean_evaluations == res.evaluations
     assert entry.mean_active_count == res.activation.active_count
@@ -94,7 +93,7 @@ def test_sweep_vss_dominates_pgga():
     )
     agg = run_sweep(spec)
     for n in (10, 20):
-        assert agg.get(n, "vss").mean_min_rate >= agg.get(n, "pgga").mean_min_rate
+        assert agg[n, "vss"].mean_min_rate >= agg[n, "pgga"].mean_min_rate
 
 
 def test_sweep_reproducible():
@@ -109,7 +108,7 @@ def test_mean_termination_below_n_at_fifty_antennas():
         SystemConfig(n_users=1), n_values=(50,), solvers=("vss",), n_trials=40, seed=7
     )
     agg = run_sweep(spec)
-    assert agg.get(50, "vss").mean_termination_stage < 50
+    assert agg[50, "vss"].mean_termination_stage < 50
 
 
 def test_mean_stage_curve_padding():
@@ -118,14 +117,18 @@ def test_mean_stage_curve_padding():
     assert mean_stage_curve([]) == ()
 
 
+def _convergence_spec(n_values, n_trials, seed):
+    return ExperimentSpec(SystemConfig(n_users=1), n_values, ("vss",), n_trials, seed)
+
+
 def test_convergence_single_point():
-    curve = run_convergence(SystemConfig(n_antennas=1, n_users=1), 1, 5)
+    (curve,) = run_convergence(_convergence_spec((1,), 1, 5)).values()
     assert len(curve) == 1
     assert curve[0] > 0
 
 
 def test_convergence_curve_non_decreasing():
-    curve = run_convergence(SystemConfig(n_antennas=50, n_users=1), 30, 7)
+    (curve,) = run_convergence(_convergence_spec((50,), 30, 7)).values()
     assert list(curve) == sorted(curve)
     assert len(curve) <= 50
 
