@@ -27,11 +27,7 @@ class ChannelMatrix:
     config_snapshot: SystemConfig
 
     def __post_init__(self) -> None:
-        g = np.array(self.gains, dtype=np.complex128)
-        if g.ndim != 2 or g.size == 0:
-            raise ValueError(f"gains must be a non-empty 2-D array, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gains must be finite")
+        g = as_gains(np.array(self.gains, dtype=np.complex128))
         if np.any(g == 0):
             raise ValueError("gains must be nonzero (users cannot sit on an antenna)")
         g.setflags(write=False)
@@ -84,14 +80,14 @@ def sample_users(seed: int, config: SystemConfig) -> np.ndarray:
 
 
 def as_gains(B: "ChannelMatrix | np.ndarray | Sequence") -> np.ndarray:
-    """Accept a ChannelMatrix or a bare array of gains; return the array."""
+    """Accept a ChannelMatrix or a bare array of gains; return the (M, N)
+    array. A bare array must be non-empty, 2-D and finite; only a
+    ChannelMatrix also refuses zero entries."""
     if isinstance(B, ChannelMatrix):
         return B.gains
     g = np.asarray(B, dtype=np.complex128)
-    if g.ndim == 1:
-        g = g[None, :]
     if g.ndim != 2 or g.size == 0:
-        raise ValueError(f"expected an M x N gain array, got shape {g.shape}")
+        raise ValueError(f"gains must be a non-empty 2-D array, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("gains must be finite")
     return g

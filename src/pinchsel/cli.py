@@ -67,8 +67,6 @@ def parse_solvers(text: str) -> tuple[str, ...]:
             raise ValueError(f"unknown solver {token!r}; choose from {choices}")
         if canonical not in names:
             names.append(canonical)
-    if not names:
-        raise ValueError("at least one solver is required")
     return tuple(names)
 
 
@@ -269,40 +267,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_rows(
-    path: Path, header: str, rows: list[tuple[float, float]], x_as_int: bool
-) -> None:
+def _write_rows(path: Path, header: str, rows: list[tuple[int, float]]) -> None:
     lines = [f"# {header}\n"]
-    for x, y in rows:
-        x_text = str(int(x)) if x_as_int else f"{x:.6g}"
-        lines.append(f"{x_text} {y:.6g}\n")
+    lines.extend(f"{x} {y:.6g}\n" for x, y in rows)
     path.write_text("".join(lines), encoding="ascii")
 
 
-def write_sweep_outputs(cli: CliConfig, agg) -> list[Path]:
+def write_sweep_outputs(
+    cli: CliConfig, dat: dict[str, list[tuple[int, float]]], csv_name: str,
+    columns: Sequence[str], csv_rows: list[list],
+) -> None:
+    """Write a run's files as ``--format`` asks: one ``.dat`` per ``dat``
+    entry (file name to ``(x, y)`` rows), then the CSV summary, each under
+    the ``#`` header, printing a ``wrote`` line per file."""
     out_dir, header = cli["out_dir"], cli.header_line()
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     if cli["format"] in ("dat", "both"):
-        for solver in cli["solvers"]:
-            rows = [(float(n), agg[n, solver].mean_min_rate) for n in cli["n"]]
-            path = out_dir / f"{solver}_rate_vs_N.dat"
-            _write_rows(path, header, rows, x_as_int=True)
-            written.append(path)
+        for name, rows in dat.items():
+            _write_rows(out_dir / name, header, rows)
+            print(f"wrote {out_dir / name}")
     if cli["format"] in ("csv", "both"):
-        path = out_dir / "sweep_summary.csv"
+        path = out_dir / csv_name
         with path.open("w", newline="", encoding="ascii") as fh:
             fh.write(f"# {header}\n")
             writer = csv.writer(fh)
-            writer.writerow(["N", "solver", "mean_rate", "mean_evals", "mean_active_count"])
-            for n in cli["n"]:
-                for solver in cli["solvers"]:
-                    e = agg[n, solver]
-                    writer.writerow(
-                        [n, solver, e.mean_min_rate, e.mean_evaluations, e.mean_active_count]
-                    )
-        written.append(path)
-    return written
+            writer.writerow(columns)
+            writer.writerows(csv_rows)
+        print(f"wrote {path}")
 
 
 def _spec(cli: CliConfig) -> ExperimentSpec:
@@ -320,32 +311,29 @@ def _spec(cli: CliConfig) -> ExperimentSpec:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cli = _resolve(args, need_solvers=True)
     agg = run_sweep(_spec(cli))
-    for path in write_sweep_outputs(cli, agg):
-        print(f"wrote {path}")
+    n_values, solvers = cli["n"], cli["solvers"]
+    entries = [(n, s, agg[n, s]) for n in n_values for s in solvers]
+    write_sweep_outputs(
+        cli,
+        {f"{s}_rate_vs_N.dat": [(n, agg[n, s].mean_min_rate) for n in n_values] for s in solvers},
+        "sweep_summary.csv",
+        ["N", "solver", "mean_rate", "mean_evals", "mean_active_count"],
+        [[n, s, e.mean_min_rate, e.mean_evaluations, e.mean_active_count] for n, s, e in entries],
+    )
     return 0
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     cli = _resolve(args, need_solvers=False)
     curves = run_convergence(_spec(cli))  # a bad run is refused before any file
-    out_dir, header = cli["out_dir"], cli.header_line()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if cli["format"] in ("dat", "both"):
-        for n, curve in curves.items():
-            rows = [(float(stage), rate) for stage, rate in enumerate(curve, start=1)]
-            path = out_dir / f"conv_N{n}_M{cli['users']}.dat"
-            _write_rows(path, header, rows, x_as_int=True)
-            print(f"wrote {path}")
-    if cli["format"] in ("csv", "both"):
-        path = out_dir / "convergence_summary.csv"
-        with path.open("w", newline="", encoding="ascii") as fh:
-            fh.write(f"# {header}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["N", "stage", "mean_rate"])
-            for n, curve in curves.items():
-                for stage, rate in enumerate(curve, start=1):
-                    writer.writerow([n, stage, rate])
-        print(f"wrote {path}")
+    stages = {n: list(enumerate(curve, start=1)) for n, curve in curves.items()}
+    write_sweep_outputs(
+        cli,
+        {f"conv_N{n}_M{cli['users']}.dat": rows for n, rows in stages.items()},
+        "convergence_summary.csv",
+        ["N", "stage", "mean_rate"],
+        [[n, stage, rate] for n, rows in stages.items() for stage, rate in rows],
+    )
     return 0
 
 

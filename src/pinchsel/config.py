@@ -31,6 +31,9 @@ _FLOAT_FIELDS = (
     "room_side", "height", "carrier_freq", "refractive_index",
     "tx_power", "noise_power", "feed_x",
 )
+_COUNT_FIELDS = ("n_antennas", "n_users", "phase_bins")
+_POSITIVE_FIELDS = ("room_side", "height", "carrier_freq", "tx_power", "noise_power")
+_CHANNEL_FIELDS = ("room_side", "height", "feed_x", "carrier_freq", "refractive_index")
 
 
 @dataclass(frozen=True)
@@ -62,28 +65,25 @@ class SystemConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.n_antennas < 1:
-            raise ValueError(f"n_antennas must be >= 1, got {self.n_antennas}")
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
-        if self.phase_bins < 1:
-            raise ValueError(f"phase_bins must be >= 1, got {self.phase_bins}")
-        if not self.room_side > 0.0:
-            raise ValueError(f"room_side must be positive, got {self.room_side}")
-        if not self.height > 0.0:
-            raise ValueError(f"height must be positive, got {self.height}")
-        if not self.carrier_freq > 0.0:
-            raise ValueError(f"carrier_freq must be positive, got {self.carrier_freq}")
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.refractive_index < 1.0:
-            raise ValueError(
-                f"refractive_index must be >= 1, got {self.refractive_index}"
-            )
-        if not self.tx_power > 0.0:
-            raise ValueError(f"tx_power must be positive, got {self.tx_power}")
-        if not self.noise_power > 0.0:
-            raise ValueError(f"noise_power must be positive, got {self.noise_power}")
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
-            raise ValueError(f"degenerate wavelength {self.wavelength}")
+            raise ValueError(f"refractive_index must be >= 1, got {self.refractive_index}")
+        # what build_channel_matrix computes stays finite: the squared
+        # distances np.linalg.norm sums, the phase of the farthest free-space
+        # or in-guide run (lambda_g = lambda / n), and the path-loss square
+        L, H, scale = self.room_side, self.height, self.wavelength / (4.0 * math.pi)
+        reach = math.sqrt(L * L + L * L / 4.0 + H * H) + abs(self.feed_x)
+        phase = math.tau * reach * self.refractive_index / self.wavelength
+        if not (math.isfinite(phase) and math.isfinite(scale * scale)):
+            fields = ", ".join(f"{f}={getattr(self, f):g}" for f in _CHANNEL_FIELDS)
+            raise ValueError(f"the channel leaves the float range: {fields}")
 
     @property
     def wavelength(self) -> float:

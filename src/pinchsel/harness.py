@@ -88,7 +88,7 @@ def run_trial(
     users = sample_users(seed, config)
     B = build_channel_matrix(config, users)
     results = {solver: SOLVERS[solver](B) for solver in solvers}
-    _check_invariants(config, results)
+    check_invariants(config, results)
     return results
 
 
@@ -105,7 +105,9 @@ _LABELS = {
 }
 
 
-def _check_invariants(config: SystemConfig, results: dict[str, SolverResult]) -> None:
+def check_invariants(config: SystemConfig, results: dict[str, SolverResult]) -> None:
+    """Raise ``InvariantError`` when the trellis exceeds its Q^M N^2
+    evaluation bound or a solver breaks an ordering of ``_RANKS``."""
     vss = results.get("vss")
     if vss:
         bound = (config.phase_bins**config.n_users) * config.n_antennas**2

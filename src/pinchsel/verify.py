@@ -22,7 +22,7 @@ import numpy as np
 from . import vss as vss_mod
 from .baselines import best_singleton, brute_force_select
 from .config import SystemConfig
-from .harness import derive_seed, run_trial
+from .harness import check_invariants, derive_seed, run_trial
 from .metric import (
     ActivationVector,
     InvariantError,
@@ -203,22 +203,15 @@ def check_trellis_invariants(quick: bool, seed: int) -> tuple[bool, str]:
                 running_best.append(best_metric)
                 survivors.append(len(nxt))
             stage = nxt
-        trace = VssTrace(tuple(running_best), len(running_best), evaluations, tuple(survivors))
+        trace = VssTrace(tuple(running_best), evaluations, tuple(survivors))
         activation = ActivationVector(tuple(best_mask.tolist()))
         res = vss_select(gains, n_bins)
         if res != SolverResult(activation, best_metric, evaluations, trace):
             problems.append("vss_select differs from the independent stage walk")
-        brute = brute_force_select(gains)
-        single = best_singleton(gains)
-        if not (brute.metric >= res.metric >= single.metric):
-            problems.append(
-                f"ordering violated: brute {brute.metric}, "
-                f"vss {res.metric}, singleton {single.metric}"
-            )
-        if list(res.trace.running_best) != sorted(res.trace.running_best):
-            problems.append("running best not non-decreasing")
-        if res.metric != res.trace.running_best[-1]:
-            problems.append("best metric differs from final running best")
+        # the harness's orderings and Q^M N^2 bound; a breach raises
+        config = SystemConfig(n_antennas=n_antennas, n_users=n_users, phase_bins=n_bins)
+        brute, single = brute_force_select(gains), best_singleton(gains)
+        check_invariants(config, {"vss": res, "brute_force": brute, "best_singleton": single})
         if problems:
             break
     if problems:

@@ -106,9 +106,13 @@ class VssTrace:
     """Per-run diagnostics: convergence curve, termination, work counters."""
 
     running_best: tuple[float, ...]
-    termination_stage: int
     metric_evaluations: int
     survivors_per_stage: tuple[int, ...]
+
+    @property
+    def termination_stage(self) -> int:
+        """Stages that accepted at least one survivor."""
+        return len(self.running_best)
 
 
 def _best_per_bucket(buckets: np.ndarray, metrics: np.ndarray) -> np.ndarray:
@@ -197,11 +201,6 @@ def vss_select(B: "ChannelMatrix | np.ndarray", n_bins: int) -> SolverResult:
             "no single-antenna activation has positive worst-user power; "
             "the gain matrix violates the nonzero-entry contract"
         )
-    trace = VssTrace(
-        running_best=tuple(running_best),
-        termination_stage=len(running_best),
-        metric_evaluations=evaluations,
-        survivors_per_stage=tuple(survivors_per_stage),
-    )
+    trace = VssTrace(tuple(running_best), evaluations, tuple(survivors_per_stage))
     activation = ActivationVector(tuple(best_mask.tolist()))
     return SolverResult(activation, best_metric, evaluations, trace)

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from pinchsel.baselines import best_singleton, brute_force_select, greedy_pgga_select
 from pinchsel.channel import ChannelMatrix, build_channel_matrix, pa_positions, sample_users
 from pinchsel.config import SystemConfig
 from pinchsel.harness import derive_seed
+from pinchsel.vss import vss_select
 
 
 # Scalar references for build_channel_matrix, one antenna-user pair at a time;
@@ -215,6 +217,24 @@ def test_channel_matrix_rejects_zero_and_nonfinite():
         ChannelMatrix(gains=np.array([[1.0 + 0j, 0j]]), config_snapshot=cfg)
     with pytest.raises(ValueError):
         ChannelMatrix(gains=np.array([[1.0 + 0j, np.inf + 0j]]), config_snapshot=cfg)
+
+
+@pytest.mark.parametrize(
+    "take",
+    [
+        lambda g: vss_select(g, 4),
+        brute_force_select,
+        greedy_pgga_select,
+        best_singleton,
+        lambda g: ChannelMatrix(gains=g, config_snapshot=SystemConfig(n_antennas=3)),
+    ],
+    ids=["vss", "brute_force", "pgga", "best_singleton", "ChannelMatrix"],
+)
+def test_one_dimensional_gains_refused(take):
+    # one shape rule for bare arrays and ChannelMatrix alike; no 1-D promotion
+    message = r"^gains must be a non-empty 2-D array, got shape \(3,\)$"
+    with pytest.raises(ValueError, match=message):
+        take(np.array([1.0 + 0j, 2.0 + 0j, 3.0 + 0j]))
 
 
 def test_channel_matrix_gains_read_only():

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from pinchsel import harness, verify
 from pinchsel.cli import _resolve, build_parser, main, parse_n_values, parse_solvers
 from pinchsel.config import SystemConfig, dbm_to_watts, watts_to_dbm
 from pinchsel.harness import ExperimentSpec, run_sweep
+from pinchsel.metric import InvariantError
 
 
 def read_sweep_summary(path):
@@ -105,6 +108,36 @@ def test_non_finite_setting_is_a_usage_error(command, args, message, tmp_path, c
     out = tmp_path / "out"
     argv = [command, "--n", "5", "--trials", "1", *args, "--out-dir", str(out)]
     assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args,settings",
+    [
+        (["--height", "1e300"], "room_side=50, height=1e+300, feed_x=-25, carrier_freq=2.8e+10"),
+        (["--room", "1e200"], "room_side=1e+200, height=3, feed_x=-5e+199, carrier_freq=2.8e+10"),
+        (
+            ["--freq-ghz", "1e290", "--room", "1e20"],
+            "room_side=1e+20, height=3, feed_x=-5e+19, carrier_freq=1e+299",
+        ),
+        (
+            ["--freq-ghz", "1e-320"],
+            "room_side=50, height=3, feed_x=-25, carrier_freq=9.99989e-312",
+        ),
+    ],
+    ids=["height-1e300", "room-1e200", "freq-1e290-room-1e20", "freq-1e-320"],
+)
+@pytest.mark.parametrize("command", ["sweep", "convergence"])
+def test_channel_outside_float_range_is_a_usage_error(
+    command, args, settings, tmp_path, capsys
+):
+    # finite settings whose distances, phases or wavelength overflow are
+    # refused by name, before numpy can warn
+    out = tmp_path / "out"
+    argv = [command, "--n", "5", "--trials", "1", *args, "--out-dir", str(out)]
+    assert main(argv) == 1
+    message = f"the channel leaves the float range: {settings}, refractive_index=1.4"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -458,6 +491,48 @@ class TestHeader:
         assert cli.system_config(10) == SystemConfig(n_antennas=10)
 
 
+# Every file both run commands write, under each --format, as sha256 prefixes
+# recorded before the two commands shared one writer.
+OUTPUT_ARGS = {
+    "sweep": ["--n", "4,6", "--solvers", "vss,brute,pgga,singleton", "--users", "2"],
+    "convergence": ["--n", "30,40", "--users", "2"],
+}
+OUTPUT_FILES = {  # (.dat files in written order, CSV summary)
+    "sweep": (
+        ["vss_rate_vs_N.dat", "brute_force_rate_vs_N.dat", "pgga_rate_vs_N.dat",
+         "best_singleton_rate_vs_N.dat"],
+        "sweep_summary.csv",
+    ),
+    "convergence": (["conv_N30_M2.dat", "conv_N40_M2.dat"], "convergence_summary.csv"),
+}
+OUTPUT_DIGESTS = {
+    "vss_rate_vs_N.dat": "ed49423f6e945f8bc0636b9c9f8d54fe",
+    "brute_force_rate_vs_N.dat": "ed49423f6e945f8bc0636b9c9f8d54fe",
+    "pgga_rate_vs_N.dat": "df54a82d7d9d60661874bb9ab6ccbcc5",
+    "best_singleton_rate_vs_N.dat": "430229b72a510eb827abaa3cb420a293",
+    "sweep_summary.csv": "4f2d9afefbbc15a1302035438e0d8679",
+    "conv_N30_M2.dat": "7d0d85a4ad58a52fd9c8111c1fe2d13a",
+    "conv_N40_M2.dat": "8c634638c3188fe1abd24bc67028e030",
+    "convergence_summary.csv": "350d96256d520a8e17379da6d6e431a4",
+}
+
+
+@pytest.mark.parametrize("fmt", ["dat", "csv", "both"])
+@pytest.mark.parametrize("command", ["sweep", "convergence"])
+def test_output_bytes_pinned(command, fmt, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, *OUTPUT_ARGS[command], "--trials", "3", "--format", fmt]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("wrote ") for line in lines)
+    wrote = [str(Path(line[len("wrote "):]).relative_to(out)) for line in lines]
+    dat, summary = OUTPUT_FILES[command]
+    assert wrote == {"dat": dat, "csv": [summary], "both": [*dat, summary]}[fmt]
+    assert sorted(p.name for p in out.iterdir()) == sorted(wrote)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:32] for name in wrote}
+    assert digests == {name: OUTPUT_DIGESTS[name] for name in wrote}
+
+
 def test_bad_feed_x_flag_says_number_or_auto(tmp_path, capsys):
     assert main(["sweep", "--n", "4", "--feed-x", "abc", "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -504,6 +579,32 @@ class TestVerifyCommand:
         passed, detail = verify.check_trellis_invariants(quick=True, seed=7)
         assert not passed
         assert "differs from the independent stage walk" in detail
+
+    def test_trellis_above_the_oracle_fails_trellis_invariants(self, monkeypatch, capsys):
+        # verify's own oracle goes through the harness ordering check
+        real = verify.brute_force_select
+        monkeypatch.setattr(
+            verify, "brute_force_select", lambda B: dataclasses.replace(real(B), metric=0.0)
+        )
+        rc = main(["verify", "--quick"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert len(failed) == 1
+        assert failed[0].startswith(
+            "[FAIL] trellis-invariants: invariant violated: trellis metric "
+        )
+        assert failed[0].endswith(" exceeds exhaustive optimum 0.0")
+
+    def test_trellis_invariants_apply_the_evaluation_bound(self, monkeypatch):
+        real = verify.vss_select
+        monkeypatch.setattr(
+            verify,
+            "vss_select",
+            lambda gains, n_bins: dataclasses.replace(real(gains, n_bins), evaluations=10**9),
+        )
+        with pytest.raises(InvariantError, match="exceed the Q\\^M N\\^2 bound"):
+            verify.check_trellis_invariants(quick=True, seed=7)
 
     def test_invariant_breach_fails_its_check_and_battery_goes_on(
         self, monkeypatch, capsys
