@@ -9,12 +9,13 @@ complex gains is everything the selection algorithms need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, settings_text
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -65,6 +66,12 @@ def build_channel_matrix(config: SystemConfig, users: np.ndarray) -> ChannelMatr
     pa_xyz = pa_positions(config)                                  # (N, 3)
     user_xyz = np.column_stack((xy, np.zeros(len(xy))))           # (M, 3), z = 0
     dist = np.linalg.norm(user_xyz[:, None, :] - pa_xyz[None, :, :], axis=2)
+    nearest = float(dist.min())
+    if not (nearest > 0.0 and 1.0 / nearest < math.inf):  # refused before the divide
+        fields = settings_text(config, ("room_side", "height"))
+        raise ValueError(
+            f"a user stands {nearest:g} m from an antenna, too close for the float range: {fields}"
+        )
     h = np.exp(-2j * np.pi * dist / config.wavelength) / dist
     guide_dist = np.abs(pa_xyz[:, 0] - config.feed_x)
     g = np.exp(-2j * np.pi * guide_dist / config.guided_wavelength)

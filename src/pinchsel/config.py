@@ -34,6 +34,12 @@ _FLOAT_FIELDS = (
 _COUNT_FIELDS = ("n_antennas", "n_users", "phase_bins")
 _POSITIVE_FIELDS = ("room_side", "height", "carrier_freq", "tx_power", "noise_power")
 _CHANNEL_FIELDS = ("room_side", "height", "feed_x", "carrier_freq", "refractive_index")
+_SNR_FIELDS = ("tx_power", "noise_power", "carrier_freq")
+
+
+def settings_text(config: "SystemConfig", names: tuple[str, ...]) -> str:
+    """``name=value`` pairs naming the settings behind a refusal."""
+    return ", ".join(f"{name}={getattr(config, name):g}" for name in names)
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,11 @@ class SystemConfig:
         reach = math.sqrt(L * L + L * L / 4.0 + H * H) + abs(self.feed_x)
         phase = math.tau * reach * self.refractive_index / self.wavelength
         if not (math.isfinite(phase) and math.isfinite(scale * scale)):
-            fields = ", ".join(f"{f}={getattr(self, f):g}" for f in _CHANNEL_FIELDS)
+            fields = settings_text(self, _CHANNEL_FIELDS)
             raise ValueError(f"the channel leaves the float range: {fields}")
+        if not math.isfinite(self.snr_scale):
+            fields = settings_text(self, _SNR_FIELDS)
+            raise ValueError(f"the SNR scale leaves the float range: {fields}")
 
     @property
     def wavelength(self) -> float:
@@ -97,6 +106,11 @@ class SystemConfig:
     def path_loss_scale(self) -> float:
         """Free-space scale factor (lambda / 4 pi)^2 applied to |Z|^2 at the SNR stage."""
         return (self.wavelength / (4.0 * math.pi)) ** 2
+
+    @property
+    def snr_scale(self) -> float:
+        """Multiplier turning the scale-free selection metric into a linear SNR."""
+        return self.tx_power * self.path_loss_scale / self.noise_power
 
     def with_antennas(self, n_antennas: int) -> "SystemConfig":
         return replace(self, n_antennas=n_antennas)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
-from .config import SystemConfig
+from .config import SystemConfig, settings_text
 
 if TYPE_CHECKING:
     from .vss import VssTrace
@@ -93,7 +93,8 @@ def worst_user_metric(signals: np.ndarray, active: int) -> np.ndarray:
     """Metric of each row of accumulated signals (users on the last axis):
     min over users of re*re + im*im, over the active count. These are the IEEE
     operations of ``metric_from_accumulated``, so results are bit-identical."""
-    return (signals.real * signals.real + signals.imag * signals.imag).min(axis=-1) / active
+    power = signals.real * signals.real + signals.imag * signals.imag
+    return np.minimum.reduce(power, axis=-1) / active
 
 
 def accumulated_signal(B: "ChannelMatrix | np.ndarray", a: ActivationVector) -> np.ndarray:
@@ -109,11 +110,15 @@ def maxmin_metric(B: "ChannelMatrix | np.ndarray", a: ActivationVector) -> float
     return metric_from_accumulated(z.tolist(), a.active_count)
 
 
-def snr_scale(config: SystemConfig) -> float:
-    """Multiplier turning the scale-free metric into a linear SNR."""
-    return config.tx_power * config.path_loss_scale / config.noise_power
+# what sets the SNR scale, and the geometry that sets the metric
+_RATE_FIELDS = ("tx_power", "noise_power", "carrier_freq", "room_side", "height")
 
 
 def rate_from_metric(config: SystemConfig, metric: float) -> float:
-    """Worst-user achievable rate log2(1 + scale * metric) in bps/Hz."""
-    return math.log2(1.0 + snr_scale(config) * metric)
+    """Worst-user achievable rate log2(1 + scale * metric) in bps/Hz; a rate
+    outside the float range is refused rather than reported."""
+    rate = math.log2(1.0 + config.snr_scale * metric)
+    if not math.isfinite(rate):
+        fields = settings_text(config, _RATE_FIELDS)
+        raise ValueError(f"the rate at metric {metric:g} leaves the float range: {fields}")
+    return rate

@@ -66,21 +66,25 @@ def quantize_phase(phi: float, n_bins: int) -> int:
 
 def bucket_codes(signals: np.ndarray, n_bins: int) -> np.ndarray:
     """Bucket of each row of an (S, M) signal array; a zero signal counts as
-    phase 0. Digits come from ``np.arctan2`` and the formula of
-    ``quantize_phase``; an entry within ``EDGE_TOL * n_bins`` bins of a bin
-    edge (the wrap included) is re-binned by the scalar
+    phase 0. Digits come from ``np.arctan2`` and the position
+    ``phi * Q / tau + Q / 2``, which is ``quantize_phase``'s formula up to
+    rounding; an entry within ``EDGE_TOL * n_bins`` bins of a bin edge (the
+    wrap at 0 and Q included) is re-binned by the scalar
     ``quantize_phase(math.atan2(...))``, so the result equals the scalar path
     even where numpy and libm differ in the last bit."""
     phi = np.arctan2(signals.imag, signals.real)
-    pos = ((phi + math.pi) % math.tau) / math.tau * n_bins
-    digits = np.minimum(pos.astype(np.int64), n_bins - 1)
-    # written back by (row, column): a reshape of a strided input is a copy
-    rows, cols = np.nonzero(~(np.abs(pos - np.rint(pos)) > EDGE_TOL * n_bins))
-    if len(rows):  # NaN lands here too, and quantize_phase rejects it
+    pos = phi * (n_bins / math.tau) + n_bins / 2
+    near = np.abs(pos - np.rint(pos))
+    edge = None
+    if not np.minimum.reduce(near, axis=None, initial=math.inf) > EDGE_TOL * n_bins:  # or NaN
+        # written back by (row, column): a reshape of a strided input is a
+        # copy; binned before the cast, so a NaN raises in quantize_phase
+        rows, cols = (~(near > EDGE_TOL * n_bins)).nonzero()
         quant = quantize_phase  # looked up per call, so a rebinding takes effect
-        digits[rows, cols] = [
-            quant(math.atan2(z.imag, z.real), n_bins) for z in signals[rows, cols].tolist()
-        ]
+        edge = [quant(math.atan2(z.imag, z.real), n_bins) for z in signals[rows, cols].tolist()]
+    digits = pos.astype(np.int64)
+    if edge is not None:
+        digits[rows, cols] = edge
     codes = digits[:, 0]
     for user in range(1, digits.shape[1]):  # user 0 is the most significant digit
         codes = codes * n_bins + digits[:, user]
@@ -119,8 +123,10 @@ def _best_per_bucket(buckets: np.ndarray, metrics: np.ndarray) -> np.ndarray:
     """Index of the highest-metric row per bucket, ascending bucket; ties go to
     the earliest row."""
     order = np.lexsort((-metrics, buckets))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = buckets[order[1:]] != buckets[order[:-1]]
+    ordered = buckets[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     return order[first]
 
 
@@ -147,23 +153,30 @@ def stage_expand(stage: Stage, gains: np.ndarray, n_bins: int) -> Stage:
     active = int(np.count_nonzero(stage.masks[0])) + 1
     z = stage.signals[None, :, :] + gains.T[:, None, :]  # (antenna, row, user)
     cand = worst_user_metric(z, active)
-    # strict improvement gate; np.nonzero yields (antenna, parent row) order,
+    # strict improvement gate; nonzero yields (antenna, parent row) order,
     # which decides ties within a bucket
-    antenna, row = np.nonzero(~stage.masks.T & (cand > stage.metrics))
-    win = _best_per_bucket(bucket_codes(z[antenna, row], n_bins), cand[antenna, row])
-    antenna, row = antenna[win], row[win]
+    antenna, row = (~stage.masks.T & (cand > stage.metrics)).nonzero()
+    screened = bucket_codes(z[antenna, row], n_bins)
+    win = _best_per_bucket(screened, cand[antenna, row])
+    antenna, row, screened = antenna[win], row[win], screened[win]
 
     masks = stage.masks[row]
     masks[np.arange(len(row)), antenna] = True
     # every row has ``active`` antennas, so the nonzero columns reshape to one
     # ascending index row per survivor; the gathered sum adds each row's terms
     # in the order of ``gains[:, indices].sum(axis=1)``, bit for bit
-    idx = np.nonzero(masks)[1].reshape(len(row), active)
+    idx = masks.nonzero()[1].reshape(len(row), active)
     signals = gains[:, idx].sum(axis=2).T
     metrics = worst_user_metric(signals, active)
     keep = metrics > stage.metrics[row]  # re-check the gate on the canonical value
-    masks, signals, metrics, row = masks[keep], signals[keep], metrics[keep], row[keep]
+    if not keep.all():
+        masks, signals, metrics = masks[keep], signals[keep], metrics[keep]
+        row, screened = row[keep], screened[keep]
     buckets = bucket_codes(signals, n_bins)
+    if (buckets == screened).all():
+        # one row per bucket in ascending order already: the selection below
+        # would return the identity
+        return Stage(masks, signals, metrics, buckets, row)
     win = _best_per_bucket(buckets, metrics)
     return Stage(masks[win], signals[win], metrics[win], buckets[win], row[win])
 
@@ -186,12 +199,13 @@ def vss_select(B: "ChannelMatrix | np.ndarray", n_bins: int) -> SolverResult:
     running_best: list[float] = []
     survivors_per_stage: list[int] = []
     best_metric, best_mask = -math.inf, None
-    for _ in range(n_antennas):
-        evaluations += int(np.count_nonzero(~stage.masks))
+    for t in range(1, n_antennas + 1):
+        # every row of stage t-1 has t-1 active antennas
+        evaluations += (n_antennas - t + 1) * len(stage)
         stage = stage_expand(stage, gains, n_bins)
         if not len(stage):
             break
-        row = int(np.argmax(stage.metrics))
+        row = int(stage.metrics.argmax())
         if stage.metrics[row] > best_metric:
             best_metric, best_mask = float(stage.metrics[row]), stage.masks[row]
         running_best.append(best_metric)

@@ -142,6 +142,65 @@ def test_channel_outside_float_range_is_a_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (
+            ["--power-dbm", "3000", "--noise-dbm", "-300"],
+            "the SNR scale leaves the float range: "
+            "tx_power=1e+297, noise_power=1e-33, carrier_freq=2.8e+10",
+        ),
+        (
+            # a finite SNR scale whose product with the metric overflows
+            ["--power-dbm", "2990", "--room", "1e-5", "--height", "1e-5"],
+            "the rate at metric 4.50501e+10 leaves the float range: tx_power=1e+296, "
+            "noise_power=1e-12, carrier_freq=2.8e+10, room_side=1e-05, height=1e-05",
+        ),
+        (
+            ["--room", "1e-320", "--height", "1e-320"],
+            "a user stands 0 m from an antenna, too close for the float range: "
+            "room_side=9.99989e-321, height=9.99989e-321",
+        ),
+        (
+            # the distances' squares underflow inside the norm
+            ["--room", "1e-300", "--height", "1e-300"],
+            "a user stands 0 m from an antenna, too close for the float range: "
+            "room_side=1e-300, height=1e-300",
+        ),
+    ],
+    ids=["snr-scale", "rate", "subnormal-geometry", "underflowing-distance"],
+)
+@pytest.mark.parametrize("command", ["sweep", "convergence"])
+def test_snr_or_geometry_outside_float_range_is_a_usage_error(
+    command, args, message, tmp_path, capsys
+):
+    # no rate of inf reaches a file, and no numpy warning escapes
+    out = tmp_path / "out"
+    argv = [command, "--n", "5", "--trials", "1", *args, "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args,header,rate",
+    [
+        (["--power-dbm", "3000"], "power_dbm=3000 noise_dbm=-90 room=50 height=3", "1000.27"),
+        (["--noise-dbm", "-300"], "power_dbm=10 noise_dbm=-300 room=50 height=3", "76.7721"),
+        (["--height", "1e-310"], "power_dbm=10 noise_dbm=-90 room=50 height=1e-310", "6.47295"),
+    ],
+    ids=["power-3000", "noise-minus-300", "height-1e-310"],
+)
+def test_extreme_but_representable_settings_still_run(args, header, rate, tmp_path):
+    # each alone keeps the SNR and the channel in range; the bytes are the
+    # ones written before the SNR and distance refusals existed
+    assert main(["sweep", "--n", "5", "--trials", "1", *args, "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "vss_rate_vs_N.dat").read_text() == (
+        f"# n=5 users=1 trials=1 seed=7 solvers=vss q_bins=4 {header} "
+        f"freq_ghz=28 neff=1.4 feed_x=auto\n5 {rate}\n"
+    )
+
+
 class TestSweepCommand:
     def test_emits_one_dat_per_solver(self, tmp_path):
         rc = main(

@@ -15,7 +15,6 @@ from pinchsel.metric import (
     accumulated_signal,
     maxmin_metric,
     rate_from_metric,
-    snr_scale,
     worst_user_metric,
 )
 
@@ -123,7 +122,7 @@ class TestWorstUserMetric:
 def _literal_min_rate(cfg, B, a):
     """Worst-user rate from per-user SNRs with the power split equally."""
     z = accumulated_signal(B, a)
-    snr = snr_scale(cfg) * (z.real**2 + z.imag**2) / a.active_count
+    snr = cfg.snr_scale * (z.real**2 + z.imag**2) / a.active_count
     return float(np.log2(1.0 + snr).min())
 
 
@@ -140,10 +139,10 @@ class TestRateReport:
     def test_doubling_power_doubles_snr_not_metric(self):
         cfg = SystemConfig(n_antennas=6, n_users=2)
         doubled = replace(cfg, tx_power=2 * cfg.tx_power)
-        assert snr_scale(doubled) == pytest.approx(2 * snr_scale(cfg), rel=1e-12)
+        assert doubled.snr_scale == pytest.approx(2 * cfg.snr_scale, rel=1e-12)
         metric = maxmin_metric(_random_gains(5, 2, 6), ActivationVector((1, 0, 1, 1, 0, 1)))
         assert rate_from_metric(doubled, metric) == pytest.approx(
-            math.log2(1.0 + 2 * snr_scale(cfg) * metric), rel=1e-12
+            math.log2(1.0 + 2 * cfg.snr_scale * metric), rel=1e-12
         )
 
     def test_min_rate_consistent_with_metric_path(self):
@@ -152,7 +151,7 @@ class TestRateReport:
         a = ActivationVector((1, 1, 0, 0, 1, 0, 1, 0, 0, 1))
         rate = rate_from_metric(cfg, maxmin_metric(B, a))
         assert rate == pytest.approx(
-            math.log2(1.0 + snr_scale(cfg) * maxmin_metric(B, a)), rel=1e-15
+            math.log2(1.0 + cfg.snr_scale * maxmin_metric(B, a)), rel=1e-15
         )
         assert rate == pytest.approx(_literal_min_rate(cfg, B, a), rel=1e-12)
 

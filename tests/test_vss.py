@@ -1,6 +1,7 @@
 """Trellis solver tests: quantiser, buckets, expansion, end-to-end invariants."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from pinchsel.channel import build_channel_matrix, sample_users
 from pinchsel.config import SystemConfig
 from pinchsel.harness import derive_seed
 from pinchsel.metric import ActivationVector, accumulated_signal, metric_from_accumulated
+from pinchsel import vss
 from pinchsel.verify import stage_problems
 from pinchsel.vss import (
     Stage,
@@ -142,7 +144,6 @@ class TestBucketCodes:
         for n_bins, codes in want.items():
             assert bucket_codes(special, n_bins).tolist() == codes
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
     def test_nonfinite_signal_rejected(self):
         with pytest.raises(ValueError):
             bucket_codes(np.array([[complex(math.nan, 1.0)]]), 4)
@@ -169,6 +170,23 @@ def test_rebuild_matches_per_row_sum(active, n_users):
     assert np.count_nonzero(nxt.masks, axis=1).tolist() == [active] * len(nxt)
     for mask, signal in zip(nxt.masks, nxt.signals):
         assert signal.tobytes() == gains[:, np.flatnonzero(mask)].sum(axis=1).tobytes()
+
+
+def test_canonical_gate_drops_a_screened_winner():
+    # a stored signal above the canonical one lets two extensions through the
+    # screen; antenna 1's canonical metric only ties its parent's, so the
+    # strict gate re-checked on canonical values drops it and keeps antenna 2
+    gains = np.array([[1.0 + 0j, 1.0 + 0j, 3j]])
+    stage = Stage(
+        np.array([[True, False, False]]), np.array([[1.5 + 0j]]), np.array([2.0]),
+        np.array([4]), np.array([-1]),
+    )
+    nxt = stage_expand(stage, gains, 8)
+    assert nxt.masks.tolist() == [[True, False, True]]
+    assert nxt.signals.tolist() == [[1 + 3j]]
+    assert nxt.metrics.tolist() == [5.0]
+    assert nxt.buckets.tolist() == [5]
+    assert nxt.parents.tolist() == [0]
 
 
 class TestVssSelect:
@@ -504,3 +522,110 @@ def test_parity_with_recorded_fingerprints(n_antennas, n_users, n_bins):
         assert (trace.termination_stage, res.activation.active_count) == (term, best)
         assert trace.survivors_per_stage == survivors
         assert tuple(x.hex() for x in trace.running_best) == running
+
+
+def _fingerprint_digest(results):
+    """sha256 over each result's full fingerprint: active indices, metric hex,
+    evaluations, running-best hex and survivors per stage."""
+    h = hashlib.sha256()
+    for res in results:
+        trace = res.trace
+        h.update(repr((
+            res.activation.indices, res.metric.hex(), res.evaluations,
+            tuple(x.hex() for x in trace.running_best), trace.survivors_per_stage,
+        )).encode())
+    return h.hexdigest()
+
+
+def _lattice_instances(count, seed):
+    """Seeded small instances whose gains sit on a phase lattice: Gaussian
+    integers (exact sums, many exact ties, phases on axes and diagonals),
+    unit phasors at multiples of pi / Q (on or next to a bin edge or centre),
+    and repeated columns (identical candidates)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_users, n_antennas = int(rng.integers(1, 4)), int(rng.integers(2, 13))
+        n_bins = int(rng.choice([1, 2, 3, 4, 8]))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            re, im = rng.integers(-2, 3, (2, n_users, n_antennas))
+            re[(re == 0) & (im == 0)] = 1
+            gains = re + 1j * im
+        elif kind == 1:
+            k = rng.integers(0, 2 * n_bins, (n_users, n_antennas))
+            gains = rng.integers(1, 3, (n_users, n_antennas)) * np.exp(1j * np.pi * k / n_bins)
+        else:
+            distinct = rng.integers(-2, 3, (n_users, 3)) + 1j * rng.integers(1, 3, (n_users, 3))
+            gains = distinct[:, rng.integers(0, 3, n_antennas)]
+        yield gains.astype(complex), n_bins
+
+
+# sha256 of _fingerprint_digest, recorded from the trellis before its stage
+# kernel carried the screened buckets into the canonical rebuild
+CONV_LARGE_DIGEST = "25b65dc6eeed54fd44062028dff9d1388b7310a04b4c9f3e437eb3c51c56e9c2"
+LATTICE_DIGEST = "1d42fe4575fd3121b681cfb886d1be1bccb4156dfb1c1d3fdbb88515eb6e8db6"
+
+
+def test_conv_large_fingerprints():
+    # the benchmark's convergence shapes: N in {50, 80, 100}, M=2, Q=4
+    results = []
+    for n_antennas in (50, 80, 100):
+        cfg = SystemConfig(n_antennas=n_antennas, n_users=2)
+        for t in range(4):
+            B = build_channel_matrix(cfg, sample_users(derive_seed(7, n_antennas, t), cfg))
+            results.append(vss_select(B, 4))
+    assert _fingerprint_digest(results) == CONV_LARGE_DIGEST
+
+
+def test_lattice_fingerprints():
+    results = [vss_select(gains, n_bins) for gains, n_bins in _lattice_instances(300, 15)]
+    assert _fingerprint_digest(results) == LATTICE_DIGEST
+
+
+class TestCanonicalBucketFallback:
+    """stage_expand's second per-bucket selection, for when a canonical
+    bucket differs from the screened one (the benchmark channels never take
+    it)."""
+
+    @staticmethod
+    def _merge_canonical(monkeypatch, merge):
+        # every stage_expand bins twice: screening, then the canonical rebuild
+        real, calls = vss.bucket_codes, []
+
+        def patched(signals, n_bins):
+            calls.append(None)
+            codes = real(signals, n_bins)
+            return merge(codes) if len(calls) % 2 == 0 else codes
+
+        monkeypatch.setattr(vss, "bucket_codes", patched)
+
+    def test_merged_bucket_keeps_its_best_row(self, monkeypatch):
+        gains = _random_gains(21, 2, 9)
+        stage = stage_expand(root_stage(9, 2, 4), gains, 4)
+        plain = stage_expand(stage, gains, 4)
+        assert len(plain) > 4
+        self._merge_canonical(monkeypatch, lambda codes: codes // 3)
+        merged = stage_expand(stage, gains, 4)
+        groups = plain.buckets // 3
+        want = [
+            int(np.flatnonzero(groups == g)[np.argmax(plain.metrics[groups == g])])
+            for g in np.unique(groups)
+        ]
+        assert len(want) < len(plain)
+        assert merged.buckets.tolist() == np.unique(groups).tolist()
+        assert merged.masks.tolist() == plain.masks[want].tolist()
+        assert merged.metrics.tolist() == plain.metrics[want].tolist()
+        assert merged.signals.tobytes() == plain.signals[want].tobytes()
+        assert merged.parents.tolist() == plain.parents[want].tolist()
+
+    @pytest.mark.parametrize("second,kept", [(1j, 0), (2j, 1), (-1j, 1)])
+    def test_tie_goes_to_the_earlier_row(self, second, kept, monkeypatch):
+        # winners reach the rebuild in ascending screened bucket: antenna 0
+        # (phase 0, bin 2) comes before 1j (bin 3) and after -1j (bin 1)
+        gains = np.array([[1.0 + 0j, second]])
+        root = root_stage(2, 1, 4)
+        self._merge_canonical(monkeypatch, lambda codes: np.zeros_like(codes))
+        stage = stage_expand(root, gains, 4)
+        assert stage.masks.tolist() == [[kept == 0, kept == 1]]
+        assert stage.metrics.tolist() == [abs(gains[0, kept]) ** 2]
+        assert stage.buckets.tolist() == [0]
