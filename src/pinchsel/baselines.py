@@ -8,7 +8,7 @@ per-subset Python step and without an array of 2^N entries. A first pass keeps
 each row's maximum; a second recomputes only the rows that reach the
 near-maximal floor and rescores their masks one row at a time, grouped by
 active count, with the shared kernel ``metric.worst_user_metric`` on the
-canonical gather-sum of each mask's columns, ``_RESCORE_ROWS`` masks at once.
+canonical gather-sum ``metric.mask_signals``, ``_RESCORE_ROWS`` masks at once.
 The screening sums never become the answer and no more than one row of
 candidates is held: the reported optimum is bit-identical to ``maxmin_metric``
 and directly comparable with the trellis solver's output. A user whose gains
@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
-from .metric import ActivationVector, SolverResult, worst_user_metric
+from .metric import ActivationVector, SolverResult, mask_signals, worst_user_metric
 
 BRUTE_FORCE_CAP = 24
 
@@ -92,9 +92,8 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     if not gains.any(axis=1).all():
         # every mask scores exactly 0, so the tie key alone decides: one
         # active antenna, and of those the smallest mask, the last antenna
-        return SolverResult(
-            ActivationVector.singleton(n_antennas, n_antennas - 1), 0.0, evaluations
-        )
+        mask = (0,) * (n_antennas - 1) + (1,)
+        return SolverResult(ActivationVector(mask), 0.0, evaluations)
 
     # mask = low | high << k; row h scores high subset h with every low subset
     k = min(n_antennas, _LOW_BITS)
@@ -138,12 +137,10 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
         counts = block.sum(axis=1)
         for c in np.flatnonzero(np.bincount(counts)).tolist():
             group = block[counts == c]
-            chunks = []
-            for i in range(0, len(group), _RESCORE_ROWS):
-                # every row holds c antennas, so the nonzero columns reshape to
-                # one ascending index row per mask, summed as maxmin_metric sums
-                idx = np.nonzero(group[i : i + _RESCORE_ROWS])[1].reshape(-1, c)
-                chunks.append(worst_user_metric(gains[:, idx].sum(axis=2).T, c))
+            chunks = [
+                worst_user_metric(mask_signals(gains, group[i : i + _RESCORE_ROWS], c), c)
+                for i in range(0, len(group), _RESCORE_ROWS)
+            ]
             metrics = np.concatenate(chunks)
             metric = float(metrics.max())
             tied = group[metrics == metric]
@@ -160,9 +157,8 @@ def best_singleton(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     n_antennas = gains.shape[1]
     metrics = worst_user_metric(gains.T, 1)
     best = int(np.argmax(metrics))
-    return SolverResult(
-        ActivationVector.singleton(n_antennas, best), float(metrics[best]), n_antennas
-    )
+    mask = tuple(int(n == best) for n in range(n_antennas))
+    return SolverResult(ActivationVector(mask), float(metrics[best]), n_antennas)
 
 
 def greedy_pgga_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:

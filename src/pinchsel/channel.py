@@ -66,8 +66,10 @@ def build_channel_matrix(config: SystemConfig, users: np.ndarray) -> ChannelMatr
     pa_xyz = pa_positions(config)                                  # (N, 3)
     user_xyz = np.column_stack((xy, np.zeros(len(xy))))           # (M, 3), z = 0
     dist = np.linalg.norm(user_xyz[:, None, :] - pa_xyz[None, :, :], axis=2)
+    # refused before the divide; (N / nearest)^2 bounds every coherent power
     nearest = float(dist.min())
-    if not (nearest > 0.0 and 1.0 / nearest < math.inf):  # refused before the divide
+    reach = config.n_antennas / nearest if nearest > 0.0 else math.inf
+    if not 2.0 * reach * reach < math.inf:  # 2x headroom for rounding
         fields = settings_text(config, ("room_side", "height"))
         raise ValueError(
             f"a user stands {nearest:g} m from an antenna, too close for the float range: {fields}"

@@ -141,11 +141,15 @@ _OPTIONS: dict[str, _Option] = {
 
 
 def _header_text(value: object) -> str:
+    """A setting as the header writes it; a float in full unless ``:g`` reads back."""
     if value is None:
         return "auto"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    return f"{value:g}" if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        text = f"{value:g}"
+        return text if float(text) == value else repr(value)
+    return str(value)
 
 
 @dataclass(frozen=True)

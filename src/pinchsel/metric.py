@@ -1,4 +1,4 @@
-"""Activation vectors and the worst-user selection objective.
+"""The answer record and the worst-user selection objective.
 
 The solvers all maximise the scale-free quantity
 
@@ -8,11 +8,11 @@ which orders activations identically to the worst-user rate: transmit power,
 path-loss scale and noise enter only as a positive multiplier inside
 log2(1 + x). Rates are attached at reporting time via :func:`rate_from_metric`.
 
-:func:`worst_user_metric` is the array kernel with which the trellis, the
-greedy baseline and the best-singleton solver score candidates;
-:func:`maxmin_metric` is the scalar reference it is bit-identical to.
-Solvers carry boolean masks internally and build an :class:`ActivationVector`
-only for the :class:`SolverResult` they return.
+Solvers work on boolean masks. :func:`mask_signals` is the one canonical
+gather-sum of a block of masks, and :func:`worst_user_metric` the array kernel
+that scores it; :func:`maxmin_metric`, which takes one 0/1 mask, is the scalar
+reference both are bit-identical to. A solver builds an
+:class:`ActivationVector` only for the :class:`SolverResult` it returns.
 """
 
 from __future__ import annotations
@@ -36,32 +36,15 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class ActivationVector:
-    """Binary on/off mask over the antenna array, with cached support size."""
+    """The on/off mask of a solver's answer, as ints, with its support size."""
 
     mask: tuple[int, ...]
     active_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        mask = tuple(int(b) for b in self.mask)
-        if not mask:
-            raise ValueError("mask must be non-empty")
-        if any(b not in (0, 1) for b in mask):
-            raise ValueError(f"mask entries must be 0 or 1, got {mask}")
+        mask = tuple(map(int, self.mask))
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "active_count", sum(mask))
-
-    def __len__(self) -> int:
-        return len(self.mask)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.mask) if b)
-
-    @classmethod
-    def singleton(cls, n_antennas: int, index: int) -> "ActivationVector":
-        mask = [0] * n_antennas
-        mask[index] = 1
-        return cls(tuple(mask))
 
 
 @dataclass(frozen=True)
@@ -72,15 +55,6 @@ class SolverResult:
     metric: float
     evaluations: int
     trace: "VssTrace | None" = None
-
-
-def _require_compatible(gains: np.ndarray, a: ActivationVector) -> None:
-    if len(a) != gains.shape[1]:
-        raise ValueError(
-            f"activation length {len(a)} does not match {gains.shape[1]} antennas"
-        )
-    if a.active_count < 1:
-        raise ValueError("activation must have at least one active antenna")
 
 
 def metric_from_accumulated(accumulated: Sequence[complex], active_count: int) -> float:
@@ -97,17 +71,35 @@ def worst_user_metric(signals: np.ndarray, active: int) -> np.ndarray:
     return np.minimum.reduce(power, axis=-1) / active
 
 
-def accumulated_signal(B: "ChannelMatrix | np.ndarray", a: ActivationVector) -> np.ndarray:
-    """Coherent sum of the active columns, one complex value per user."""
+def mask_signals(gains: np.ndarray, masks: np.ndarray, active: int) -> np.ndarray:
+    """Canonical signals, (S, M), of an (S, N) bool block whose rows each hold
+    ``active`` antennas (S may be 0). The block's nonzero columns reshape to
+    one ascending index row per mask, and the gather is summed along its last
+    axis, so each row adds its terms in the order ``accumulated_signal`` does:
+    the results are bit-identical to it."""
+    idx = masks.nonzero()[1].reshape(len(masks), active)
+    return gains[:, idx].sum(axis=2).T
+
+
+def accumulated_signal(B: "ChannelMatrix | np.ndarray", mask: Sequence[int]) -> np.ndarray:
+    """Coherent sum of the columns a 0/1 mask switches on, one complex value
+    per user; refuses a mask of the wrong length, with an entry other than 0
+    or 1, or with nothing on."""
     gains = as_gains(B)
-    _require_compatible(gains, a)
-    return gains[:, list(a.indices)].sum(axis=1)
+    m = np.asarray(mask)
+    if m.shape != (gains.shape[1],):
+        raise ValueError(f"mask of shape {m.shape} does not match {gains.shape[1]} antennas")
+    if not np.isin(m, (0, 1)).all():
+        raise ValueError(f"mask entries must be 0 or 1, got {m.tolist()}")
+    if not m.any():
+        raise ValueError("mask must have at least one active antenna")
+    return gains[:, np.flatnonzero(m)].sum(axis=1)
 
 
-def maxmin_metric(B: "ChannelMatrix | np.ndarray", a: ActivationVector) -> float:
-    """Worst-user power share min_m |Z_m|^2 / ||a||_0 (units 1/m^2)."""
-    z = accumulated_signal(B, a)
-    return metric_from_accumulated(z.tolist(), a.active_count)
+def maxmin_metric(B: "ChannelMatrix | np.ndarray", mask: Sequence[int]) -> float:
+    """Worst-user power share min_m |Z_m|^2 / ||mask||_0 (units 1/m^2)."""
+    z = accumulated_signal(B, mask)
+    return metric_from_accumulated(z.tolist(), int(np.count_nonzero(mask)))
 
 
 # what sets the SNR scale, and the geometry that sets the metric

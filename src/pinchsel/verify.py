@@ -150,7 +150,6 @@ def stage_problems(prev: Stage, nxt: Stage, gains: np.ndarray, n_bins: int) -> l
         nxt.masks, nxt.signals, nxt.metrics.tolist(), nxt.buckets.tolist(),
         nxt.parents.tolist(),
     ):
-        activation = ActivationVector(tuple(mask.tolist()))
         if not 0 <= bucket < n_buckets:
             problems.append(f"bucket {bucket} outside [0, {n_buckets})")
         if not (0 <= parent < len(prev) and metric > prev.metrics[parent]):
@@ -168,11 +167,11 @@ def stage_problems(prev: Stage, nxt: Stage, gains: np.ndarray, n_bins: int) -> l
                         f"{complex(z_inc[bad][0])} vs {complex(signal[bad][0])}"
                     )
         canonical = 0
-        for z in accumulated_signal(gains, activation).tolist():
+        for z in accumulated_signal(gains, mask).tolist():
             canonical = canonical * n_bins + quant(math.atan2(z.imag, z.real), n_bins)
         if bucket != canonical:
             problems.append(f"bucket {bucket} differs from its signal's {canonical}")
-        if metric != maxmin_metric(gains, activation):
+        if metric != maxmin_metric(gains, mask):
             problems.append(f"metric {metric!r} differs from maxmin_metric")
     return problems
 

@@ -14,10 +14,11 @@ search stops at the first stage with no accepted candidate. The answer is the
 best survivor across all explored stages.
 
 Numerical note: accepted survivors have their accumulated signal and metric
-rebuilt in canonical (ascending antenna index) order at install time, so a
-stored metric is bit-identical to ``maxmin_metric`` of its activation and
-cross-solver comparisons against the exhaustive oracle are drift-free. The
-incremental values are used only to screen candidates.
+rebuilt in canonical (ascending antenna index) order at install time, by
+``metric.mask_signals``, so a stored metric is bit-identical to
+``maxmin_metric`` of its mask and cross-solver comparisons against the
+exhaustive oracle are drift-free. The incremental values are used only to
+screen candidates.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
-from .metric import ActivationVector, SolverResult, worst_user_metric
+from .metric import ActivationVector, SolverResult, mask_signals, worst_user_metric
 
 # Cap on the (antennas x buckets x users) candidate block one stage may hold:
 # 2^24 complex entries is 256 MiB.
@@ -162,11 +163,7 @@ def stage_expand(stage: Stage, gains: np.ndarray, n_bins: int) -> Stage:
 
     masks = stage.masks[row]
     masks[np.arange(len(row)), antenna] = True
-    # every row has ``active`` antennas, so the nonzero columns reshape to one
-    # ascending index row per survivor; the gathered sum adds each row's terms
-    # in the order of ``gains[:, indices].sum(axis=1)``, bit for bit
-    idx = masks.nonzero()[1].reshape(len(row), active)
-    signals = gains[:, idx].sum(axis=2).T
+    signals = mask_signals(gains, masks, active)
     metrics = worst_user_metric(signals, active)
     keep = metrics > stage.metrics[row]  # re-check the gate on the canonical value
     if not keep.all():

@@ -22,6 +22,10 @@ def _mask_to_activation(mask, n_antennas):
     return ActivationVector(tuple((mask >> i) & 1 for i in range(n_antennas)))
 
 
+def _indices(res):
+    return tuple(np.flatnonzero(res.activation.mask).tolist())
+
+
 def _tie_key(metric, activation):
     # maximise metric; break ties by fewer active antennas, then by the
     # lexicographically smallest mask sequence
@@ -35,7 +39,7 @@ def _brute_force_naive(gains):
     best = None
     for mask in range(1, 1 << n_antennas):
         activation = _mask_to_activation(mask, n_antennas)
-        metric = maxmin_metric(gains, activation)
+        metric = maxmin_metric(gains, activation.mask)
         key = _tie_key(metric, activation)
         if best is None or key < best[0]:
             best = (key, metric, activation)
@@ -137,7 +141,7 @@ class TestBruteForce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.activation.indices == (23,)
+        assert _indices(res) == (23,)
         assert res.metric == 0.0
         assert res.evaluations == 2**24 - 1
         assert peak < 2 * 2**20
@@ -170,7 +174,7 @@ class TestBruteForce:
         finally:
             tracemalloc.stop()
         assert res.metric == 0.0
-        assert res.activation.indices == (15,)  # fewest antennas, smallest mask
+        assert _indices(res) == (15,)  # fewest antennas, smallest mask
         assert peak < _working_bytes(16, 17)
 
     @pytest.mark.parametrize(
@@ -218,7 +222,7 @@ class TestBruteForce:
 
     def test_all_zero_gains_across_the_split(self):
         res = brute_force_select(np.zeros((2, 14)))
-        assert res.activation.indices == (13,)
+        assert _indices(res) == (13,)
         assert res.metric == 0.0
         assert res.evaluations == 2**14 - 1
 
@@ -226,7 +230,7 @@ class TestBruteForce:
     def test_parity_with_recorded_fingerprints(self, row):
         kind, n_antennas, n_users, t, *expected = row
         res = brute_force_select(_parity_gains(kind, n_antennas, n_users, t))
-        assert [res.metric.hex(), res.activation.indices, res.evaluations] == expected
+        assert [res.metric.hex(), _indices(res), res.evaluations] == expected
 
     def test_single_user_literal_objective(self):
         # direct re-implementation of the single-user fractional objective
@@ -256,7 +260,7 @@ class TestBestSingleton:
         B = _random_gains(15, 2, 15)
         res = best_singleton(B)
         expected = max(
-            maxmin_metric(B, ActivationVector.singleton(15, n)) for n in range(15)
+            maxmin_metric(B, np.arange(15) == n) for n in range(15)
         )
         assert res.metric == expected
 
@@ -462,5 +466,5 @@ def test_parity_with_recorded_fingerprints(kind):
         gains = _parity_gains(kind, n_antennas, n_users, t)
         got = []
         for res in (best_singleton(gains), greedy_pgga_select(gains)):
-            got += [res.metric.hex(), res.activation.indices, res.evaluations]
+            got += [res.metric.hex(), _indices(res), res.evaluations]
         assert got == expected, (kind, n_antennas, n_users, t)

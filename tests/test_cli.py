@@ -84,6 +84,11 @@ class TestDbmConversion:
         with pytest.raises(ValueError, match="4000 dBm"):
             dbm_to_watts(4000.0)
 
+    @pytest.mark.parametrize("watts", [0.0, -1e-3])
+    def test_non_positive_power_is_a_value_error(self, watts):
+        with pytest.raises(ValueError, match=f"power must be positive, got {watts}"):
+            watts_to_dbm(watts)
+
 
 @pytest.mark.parametrize(
     "args,message",
@@ -145,6 +150,29 @@ def test_channel_outside_float_range_is_a_usage_error(
 @pytest.mark.parametrize(
     "args,message",
     [
+        (["--q-bins", "0"], "phase_bins must be >= 1, got 0"),
+        (["--room", "-1"], "room_side must be positive, got -1.0"),
+        (["--neff", "0.5"], "refractive_index must be >= 1, got 0.5"),
+        (["--config", "trials 3"], "{cfg}:1: expected 'key = value', got 'trials 3'"),
+    ],
+    ids=["q-bins-0", "room-minus-1", "neff-0.5", "file-line-without-equals"],
+)
+@pytest.mark.parametrize("command", ["sweep", "convergence"])
+def test_setting_out_of_range_is_a_usage_error(command, args, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if args[0] == "--config":
+        cfg.write_text(args[1] + "\n")
+        args = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    argv = [command, "--n", "5", "--trials", "1", *args, "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
         (
             ["--power-dbm", "3000", "--noise-dbm", "-300"],
             "the SNR scale leaves the float range: "
@@ -167,8 +195,15 @@ def test_channel_outside_float_range_is_a_usage_error(
             "a user stands 0 m from an antenna, too close for the float range: "
             "room_side=1e-300, height=1e-300",
         ),
+        (
+            # each gain is finite, but the power of their coherent sum is not
+            ["--room", "1e-160", "--height", "1e-160"],
+            "a user stands 1.01641e-160 m from an antenna, too close for the float "
+            "range: room_side=1e-160, height=1e-160",
+        ),
     ],
-    ids=["snr-scale", "rate", "subnormal-geometry", "underflowing-distance"],
+    ids=["snr-scale", "rate", "subnormal-geometry", "underflowing-distance",
+         "overflowing-power"],
 )
 @pytest.mark.parametrize("command", ["sweep", "convergence"])
 def test_snr_or_geometry_outside_float_range_is_a_usage_error(
@@ -544,6 +579,21 @@ class TestHeader:
         assert main(["sweep", "--n", "10", "--trials", "1", "--out-dir", str(tmp_path)]) == 0
         first = (tmp_path / "vss_rate_vs_N.dat").read_text().splitlines()[0]
         assert first == "# " + DEFAULT_HEADER.replace("trials=150", "trials=1")
+
+    def test_floats_read_back_to_the_values_set(self):
+        settings = {
+            "power_dbm": "12.3456789", "noise_dbm": "-90.000001", "room": "12.3456789",
+            "height": "3.0000001", "freq_ghz": "28.123456789", "neff": "1.41421356",
+            "feed_x": "-6.1728394",
+        }
+        flags = [
+            text for key, value in settings.items()
+            for text in ("--" + key.replace("_", "-"), value)
+        ]
+        header = self.header(["sweep", "--n", "10", *flags])
+        written = dict(item.split("=") for item in header.split())
+        for key, value in settings.items():
+            assert float(written[key]) == float(value), (key, written[key])
 
     def test_default_system_config_is_the_dataclass_default(self):
         cli = _resolve(build_parser().parse_args(["sweep", "--n", "10"]), True)

@@ -145,3 +145,15 @@ def test_experiment_spec_validation():
         ExperimentSpec(base, n_values=(30,), solvers=("brute_force",), n_trials=1, seed=0)
     # brute force below the cap is fine
     ExperimentSpec(base, n_values=(12,), solvers=("brute_force",), n_trials=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n_values,solvers,message",
+    [
+        ((0,), ("vss",), r"antenna counts must be >= 1, got \(0,\)"),
+        ((5,), (), "at least one solver is required"),
+    ],
+)
+def test_experiment_spec_refusal_names_the_rule(n_values, solvers, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(SystemConfig(n_users=1), n_values, solvers, n_trials=1, seed=0)

@@ -13,7 +13,7 @@ from pinchsel.baselines import best_singleton, brute_force_select
 from pinchsel.channel import build_channel_matrix, sample_users
 from pinchsel.config import SystemConfig
 from pinchsel.harness import derive_seed
-from pinchsel.metric import ActivationVector, accumulated_signal, metric_from_accumulated
+from pinchsel.metric import accumulated_signal, metric_from_accumulated
 from pinchsel import vss
 from pinchsel.verify import stage_problems
 from pinchsel.vss import (
@@ -24,6 +24,10 @@ from pinchsel.vss import (
     stage_expand,
     vss_select,
 )
+
+
+def _indices(res):
+    return tuple(np.flatnonzero(res.activation.mask).tolist())
 
 
 def _random_gains(seed, n_users, n_antennas):
@@ -215,6 +219,15 @@ class TestVssSelect:
         res = vss_select(B, 4)
         assert res.metric <= brute_force_select(B).metric
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: quantize_phase(0.0, 0), lambda: vss_select(np.ones((1, 3)), 0)],
+        ids=["quantize_phase", "vss_select"],
+    )
+    def test_zero_bins_refused(self, call):
+        with pytest.raises(ValueError, match="n_bins must be >= 1, got 0"):
+            call()
+
     def test_degenerate_all_zero_matrix(self):
         with pytest.raises(ValueError):
             vss_select(np.zeros((1, 3), dtype=complex), 4)
@@ -277,14 +290,14 @@ class TestStageExpand:
             for n in range(gains.shape[1]):
                 if parent[n]:
                     continue
-                act = ActivationVector(tuple(parent[:n] + [True] + parent[n + 1 :]))
-                z = accumulated_signal(gains, act)
-                metric = metric_from_accumulated(z.tolist(), act.active_count)
+                child = tuple(map(int, parent[:n] + [True] + parent[n + 1 :]))
+                z = accumulated_signal(gains, child)
+                metric = metric_from_accumulated(z.tolist(), sum(child))
                 if metric <= parent_metric:
                     continue
                 key = int(bucket_codes(z[None, :], n_bins)[0])
                 if key not in best or metric > best[key][0]:
-                    best[key] = (metric, act.mask)
+                    best[key] = (metric, child)
         return best
 
 
@@ -517,7 +530,7 @@ def test_parity_with_recorded_fingerprints(n_antennas, n_users, n_bins):
         res = vss_select(B, n_bins)
         trace = res.trace
         assert res.metric.hex() == metric
-        assert res.activation.indices == indices
+        assert _indices(res) == indices
         assert res.evaluations == trace.metric_evaluations == evals
         assert (trace.termination_stage, res.activation.active_count) == (term, best)
         assert trace.survivors_per_stage == survivors
@@ -531,7 +544,7 @@ def _fingerprint_digest(results):
     for res in results:
         trace = res.trace
         h.update(repr((
-            res.activation.indices, res.metric.hex(), res.evaluations,
+            _indices(res), res.metric.hex(), res.evaluations,
             tuple(x.hex() for x in trace.running_best), trace.survivors_per_stage,
         )).encode())
     return h.hexdigest()
