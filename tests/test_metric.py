@@ -34,6 +34,15 @@ class TestActivationVector:
         assert all(type(b) is int for b in a.mask)
         assert a.active_count == 3
 
+    def test_rejects_bad_entries(self):
+        # the record keeps what it is given; the one mask check refuses a bad
+        # record's mask when it is scored
+        B = _random_gains(1, 1, 3)
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            maxmin_metric(B, ActivationVector((0, 2, 1)).mask)
+        with pytest.raises(ValueError, match="does not match 3 antennas"):
+            maxmin_metric(B, ActivationVector(()).mask)
+
 
 class TestAccumulatedSignal:
     def test_singleton_selects_column(self):
