@@ -180,8 +180,11 @@ def greedy_pgga_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
 
     for count in range(2, n_antennas + 1):
         mag = np.abs(z)
-        safe = np.where(mag > 0.0, mag, 1.0)
-        directions = np.where(mag > 0.0, z / safe, 1.0 + 0j)
+        if mag.all():
+            directions = z / mag
+        else:  # a zero signal has no direction; it takes phase 0
+            safe = np.where(mag > 0.0, mag, 1.0)
+            directions = np.where(mag > 0.0, z / safe, 1.0 + 0j)
         scores = (np.conj(directions)[:, None] * gains).real.min(axis=0)
         scores[mask] = -math.inf
         best = np.argmax(scores)

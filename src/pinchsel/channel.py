@@ -49,35 +49,54 @@ def pa_positions(config: SystemConfig) -> np.ndarray:
     return np.column_stack((x, np.zeros(n), np.full(n, H)))
 
 
-def build_channel_matrix(config: SystemConfig, users: np.ndarray) -> ChannelMatrix:
-    """Assemble the M x N effective gain matrix for one placement, given as
-    the (M, 2) ground-plane (x, y) positions of ``sample_users``.
+def build_channel_matrix(
+    config: SystemConfig, users: np.ndarray
+) -> "ChannelMatrix | list[ChannelMatrix]":
+    """Assemble the M x N effective gain matrix of each placement.
+
+    ``users`` is one placement, the (M, 2) ground-plane (x, y) positions of
+    ``sample_users``, or a (T, M, 2) stack of T placements (an array, or a
+    list of placements). One placement gives one ``ChannelMatrix``; a stack
+    gives a list of T in stack order. An (M, 2) input is the T = 1 case of
+    the same stacked computation, so each channel of a stack is bit for bit
+    the one its placement builds alone. A placement too close to an antenna
+    is refused before any channel is returned, with the message that
+    building it alone gives.
 
     Vectorised; the tests check it element by element against a scalar
     reference, the free-space gain times the in-guide phase of each pair.
     """
     xy = np.asarray(users, dtype=float)
-    if xy.ndim != 2 or xy.shape[1] != 2:
-        raise ValueError(f"user positions must be an (M, 2) array, got shape {xy.shape}")
-    if len(xy) != config.n_users:
-        raise ValueError(f"placement has {len(xy)} users, config expects {config.n_users}")
-    if not np.all(np.isfinite(xy)):
+    stack = xy[None] if xy.ndim == 2 else xy
+    if stack.ndim != 3 or stack.shape[2] != 2:
+        raise ValueError(
+            f"user positions must be an (M, 2) array or a (T, M, 2) stack, got shape {xy.shape}"
+        )
+    if stack.shape[1] != config.n_users:
+        raise ValueError(f"placement has {stack.shape[1]} users, config expects {config.n_users}")
+    if not np.all(np.isfinite(stack)):
         raise ValueError("user positions must be finite")
     pa_xyz = pa_positions(config)                                  # (N, 3)
-    user_xyz = np.column_stack((xy, np.zeros(len(xy))))           # (M, 3), z = 0
-    dist = np.linalg.norm(user_xyz[:, None, :] - pa_xyz[None, :, :], axis=2)
+    user_xyz = np.zeros(stack.shape[:2] + (3,))                    # (T, M, 3), z = 0
+    user_xyz[:, :, :2] = stack
+    dist = np.linalg.norm(user_xyz[:, :, None, :] - pa_xyz, axis=3)  # (T, M, N)
     # refused before the divide; (N / nearest)^2 bounds every coherent power
-    nearest = float(dist.min())
-    reach = config.n_antennas / nearest if nearest > 0.0 else math.inf
-    if not 2.0 * reach * reach < math.inf:  # 2x headroom for rounding
-        fields = settings_text(config, ("room_side", "height"))
-        raise ValueError(
-            f"a user stands {nearest:g} m from an antenna, too close for the float range: {fields}"
-        )
+    for nearest in dist.min(axis=(1, 2)).tolist():
+        reach = config.n_antennas / nearest if nearest > 0.0 else math.inf
+        if not 2.0 * reach * reach < math.inf:  # 2x headroom for rounding
+            fields = settings_text(config, ("room_side", "height"))
+            raise ValueError(
+                f"a user stands {nearest:g} m from an antenna, too close for the float "
+                f"range: {fields}"
+            )
     h = np.exp(-2j * np.pi * dist / config.wavelength) / dist
     guide_dist = np.abs(pa_xyz[:, 0] - config.feed_x)
     g = np.exp(-2j * np.pi * guide_dist / config.guided_wavelength)
-    return ChannelMatrix(gains=h * g[None, :], config_snapshot=config)
+    # the guide phase goes on per placement, in the (M, N) x (1, N) product of
+    # a lone build: at M = N = 1 a stacked product takes another numpy loop,
+    # which can differ in the last bit
+    channels = [ChannelMatrix(gains=ht * g[None, :], config_snapshot=config) for ht in h]
+    return channels[0] if xy.ndim == 2 else channels
 
 
 def sample_users(seed: int, config: SystemConfig) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .baselines import (
     best_singleton,
@@ -80,13 +80,28 @@ class ExperimentSpec:
         object.__setattr__(self, "solvers", tuple(self.solvers))
 
 
+# Placements built by one stacked channel call: bounds the (T, M, N) arrays
+# of one build, whatever the trial count.
+_BUILD_ROWS = 64
+
+
+def trial_channels(config: SystemConfig, seed: int, n_trials: int) -> Iterator[ChannelMatrix]:
+    """Channels of trials ``0 .. n_trials - 1`` at ``config``'s antenna count,
+    in trial order. Each trial's placement is drawn from its own derived seed;
+    up to ``_BUILD_ROWS`` placements are stacked and built in one call, so a
+    too-close placement is refused before any trial of its chunk is used."""
+    n = config.n_antennas
+    for start in range(0, n_trials, _BUILD_ROWS):
+        trials = range(start, min(start + _BUILD_ROWS, n_trials))
+        users = [sample_users(derive_seed(seed, n, t), config) for t in trials]
+        yield from build_channel_matrix(config, users)
+
+
 def run_trial(
-    config: SystemConfig, seed: int, solvers: tuple[str, ...]
+    config: SystemConfig, B: ChannelMatrix, solvers: tuple[str, ...]
 ) -> dict[str, SolverResult]:
-    """Sample one placement, build the channel once, run every solver on it;
+    """Run every solver once on one channel and check their orderings;
     return each solver's result by name."""
-    users = sample_users(seed, config)
-    B = build_channel_matrix(config, users)
     results = {solver: SOLVERS[solver](B) for solver in solvers}
     check_invariants(config, results)
     return results
@@ -144,13 +159,15 @@ def mean_stage_curve(curves: list[tuple[float, ...]]) -> tuple[float, ...]:
 
 def run_sweep(spec: ExperimentSpec) -> dict[tuple[int, str], SolverAggregate]:
     """Run ``n_trials`` trials per antenna count and aggregate per solver,
-    keyed by (antenna count, solver)."""
+    keyed by (antenna count, solver). Each antenna count's channels come from
+    ``trial_channels`` in stacked chunks; ``run_trial`` then solves them one
+    trial at a time."""
     entries: dict[tuple[int, str], SolverAggregate] = {}
     for n in spec.n_values:
         config = spec.base_config.with_antennas(n)
         records = [
-            run_trial(config, derive_seed(spec.seed, n, t), spec.solvers)
-            for t in range(spec.n_trials)
+            run_trial(config, B, spec.solvers)
+            for B in trial_channels(config, spec.seed, spec.n_trials)
         ]
         for solver in spec.solvers:
             trials = [r[solver] for r in records]

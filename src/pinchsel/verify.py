@@ -22,7 +22,7 @@ import numpy as np
 from . import vss as vss_mod
 from .baselines import best_singleton, brute_force_select
 from .config import SystemConfig
-from .harness import check_invariants, derive_seed, run_trial
+from .harness import check_invariants, run_trial, trial_channels
 from .metric import (
     ActivationVector,
     InvariantError,
@@ -92,8 +92,8 @@ def _oracle_batch(
     matches = 0
     gap_sum = 0.0
     max_rel_gap = 0.0
-    for t in range(n_trials):
-        results = run_trial(config, derive_seed(seed, n_antennas, t), ("vss", "brute_force"))
+    for B in trial_channels(config, seed, n_trials):
+        results = run_trial(config, B, ("vss", "brute_force"))
         v, b = results["vss"], results["brute_force"]
         if math.isclose(v.metric, b.metric, rel_tol=1e-9):
             matches += 1
@@ -225,8 +225,8 @@ def check_complexity_bound(quick: bool, seed: int) -> tuple[bool, str]:
         config = SystemConfig(n_antennas=n_antennas, n_users=1)
         bound = config.phase_bins**config.n_users * n_antennas**2
         evals[n_antennas] = [
-            run_trial(config, derive_seed(seed, n_antennas, t), ("vss",))["vss"].evaluations
-            for t in range(trials)
+            run_trial(config, B, ("vss",))["vss"].evaluations
+            for B in trial_channels(config, seed, trials)
         ]
         # run_trial raises above 1, here and in the oracle checks
         worst_ratio = max(worst_ratio, max(evals[n_antennas]) / bound)

@@ -133,12 +133,15 @@ def _best_per_bucket(buckets: np.ndarray, metrics: np.ndarray) -> np.ndarray:
 
 def root_stage(n_antennas: int, n_users: int, n_bins: int) -> Stage:
     """Stage 0: the empty activation as a pure phase reference."""
-    signals = np.zeros((1, n_users), dtype=complex)
+    digit = quantize_phase(0.0, n_bins)  # a zero signal counts as phase 0
+    code = 0
+    for _ in range(n_users):
+        code = code * n_bins + digit
     return Stage(
         masks=np.zeros((1, n_antennas), dtype=bool),
-        signals=signals,
+        signals=np.zeros((1, n_users), dtype=complex),
         metrics=np.zeros(1),
-        buckets=bucket_codes(signals, n_bins),
+        buckets=np.array([code], dtype=np.int64),
         parents=np.array([-1]),
     )
 
@@ -157,6 +160,10 @@ def stage_expand(stage: Stage, gains: np.ndarray, n_bins: int) -> Stage:
     # strict improvement gate; nonzero yields (antenna, parent row) order,
     # which decides ties within a bucket
     antenna, row = (~stage.masks.T & (cand > stage.metrics)).nonzero()
+    if not len(row):  # the terminal stage: nothing to bin or rebuild
+        return Stage(
+            stage.masks[:0], stage.signals[:0], stage.metrics[:0], stage.buckets[:0], row
+        )
     screened = bucket_codes(z[antenna, row], n_bins)
     win = _best_per_bucket(screened, cand[antenna, row])
     antenna, row, screened = antenna[win], row[win], screened[win]

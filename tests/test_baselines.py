@@ -276,6 +276,14 @@ class TestGreedyPgga:
         assert res.metric == 1.0
         assert res.activation.active_count == 1
 
+    def test_zero_user_signal_takes_phase_zero(self):
+        # every singleton scores 0, so the start leaves user 1's signal at
+        # zero and the first round projects onto phase 0 for that user
+        res = greedy_pgga_select(np.array([[1.0 + 0j, 0j], [0j, 1.0 + 0j]]))
+        assert res.metric == 0.5
+        assert res.activation.mask == (1, 1)
+        assert res.evaluations == 3
+
     def test_never_beats_brute_force(self):
         for seed in range(10):
             B = _random_gains(500 + seed, 2, 9)

@@ -211,6 +211,96 @@ def test_channel_bit_identity(row):
     assert hashlib.sha256(gains.tobytes()).hexdigest()[:32] == gains_digest
 
 
+def _placements(seed, cfg, n_trials):
+    """The (T, M, 2) stack of trials 0 .. T-1 at ``cfg``'s antenna count."""
+    return np.stack(
+        [sample_users(derive_seed(seed, cfg.n_antennas, t), cfg) for t in range(n_trials)]
+    )
+
+
+@pytest.mark.parametrize("n_users", [1, 2, 3])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_stacked_build_equals_lone_builds(seed, n_users):
+    for n_antennas in range(1, 101):
+        cfg = SystemConfig(n_antennas=n_antennas, n_users=n_users)
+        users = _placements(seed, cfg, 5)
+        stacked = build_channel_matrix(cfg, users)
+        assert len(stacked) == len(users)
+        for B, placement in zip(stacked, users):
+            assert B.config_snapshot is cfg
+            assert B.gains.tobytes() == build_channel_matrix(cfg, placement).gains.tobytes()
+
+
+# sha256 prefixes of the 1 x 1 gains of trials 0-3, recorded from the lone
+# (M, 2) build before stacks existed: at M = N = 1 a stacked guide-phase
+# product took another numpy loop and moved trial 0's gain by one ulp.
+ONE_BY_ONE_DIGESTS = {
+    7: ['6cf3c6a30cae4c421f82309573a4bfe4', 'a6c4c48beddc7f3254d97a1f98113612',
+        '667f37e6c877685b931b23bb890cfeb6', 'c92695f52d90a69c84dd80c3fadaeeaa'],
+    11: ['dd901d8207c8914bd25254af1cd01697', '18de690b14f5a34fc0b912cf4b29d947',
+         '013d85a6ea6ffcda9ea9906cfb5407e2', 'e18fa7bdf1fd69c179c0d6f79b289ab4'],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ONE_BY_ONE_DIGESTS))
+def test_one_by_one_gains_pinned(seed):
+    cfg = SystemConfig(n_antennas=1, n_users=1)
+    users = _placements(seed, cfg, 4)
+    lone = [build_channel_matrix(cfg, placement) for placement in users]
+    for builds in (build_channel_matrix(cfg, users), lone):
+        digests = [hashlib.sha256(B.gains.tobytes()).hexdigest()[:32] for B in builds]
+        assert digests == ONE_BY_ONE_DIGESTS[seed]
+
+
+def test_stack_of_one_and_empty_stack():
+    cfg = SystemConfig(n_antennas=4, n_users=2)
+    users = _placements(7, cfg, 1)
+    (B,) = build_channel_matrix(cfg, users)
+    assert B.gains.tobytes() == build_channel_matrix(cfg, users[0]).gains.tobytes()
+    assert build_channel_matrix(cfg, users[:0]) == []
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_stack_refused_with_its_first_too_close_placement_message(k):
+    # height 1e-200 squares to 0, so a user right below an antenna stands
+    # 0 m away; one 1e-158 m off to the side stands about that far
+    cfg = SystemConfig(n_antennas=5, n_users=2, height=1e-200)
+    users = _placements(7, cfg, 6)
+    below = pa_positions(cfg)[2, 0]
+    users[k, 1] = (below, 1e-158)
+    users[k + 2, 0] = (below, 0.0)
+    with pytest.raises(ValueError, match="too close for the float range") as lone:
+        build_channel_matrix(cfg, users[k])
+    with pytest.raises(ValueError, match="too close for the float range") as later:
+        build_channel_matrix(cfg, users[k + 2])
+    assert str(lone.value) != str(later.value)
+    with pytest.raises(ValueError) as stacked:
+        build_channel_matrix(cfg, users)
+    assert str(stacked.value) == str(lone.value)
+
+
+@pytest.mark.parametrize(
+    "shape,bad,message",
+    [
+        ((4, 1, 3), None, r"^user positions must be an \(M, 2\) array or a \(T, M, 2\) stack, "
+         r"got shape \(4, 1, 3\)$"),
+        ((2, 4, 1, 2), None, r"^user positions must be an \(M, 2\) array or a \(T, M, 2\) "
+         r"stack, got shape \(2, 4, 1, 2\)$"),
+        ((4, 2, 2), None, r"^placement has 2 users, config expects 1$"),
+        ((4, 1, 2), np.nan, r"^user positions must be finite$"),
+        ((4, 1, 2), -np.inf, r"^user positions must be finite$"),
+    ],
+    ids=["last-axis", "four-axes", "user-count", "nan", "inf"],
+)
+def test_malformed_stack_refused_by_name(shape, bad, message):
+    cfg = SystemConfig(n_antennas=3, n_users=1)
+    users = np.ones(shape)
+    if bad is not None:
+        users[2, 0, 1] = bad
+    with pytest.raises(ValueError, match=message):
+        build_channel_matrix(cfg, users)
+
+
 def test_channel_matrix_rejects_zero_and_nonfinite():
     cfg = SystemConfig(n_antennas=2, n_users=1)
     with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 """Monte Carlo harness tests: seeding, trials, sweeps, convergence."""
 
+from collections import Counter
+
 import pytest
 
-from pinchsel.channel import sample_users
+from pinchsel import harness
+from pinchsel.channel import build_channel_matrix, sample_users
 from pinchsel.config import SystemConfig
 from pinchsel.harness import (
     ExperimentSpec,
@@ -35,14 +38,15 @@ def test_user_count_runs_share_user_zero():
 
 def test_run_trial_deterministic():
     cfg = SystemConfig(n_antennas=8, n_users=2)
-    a = run_trial(cfg, 12345, ("vss", "pgga"))
-    b = run_trial(cfg, 12345, ("vss", "pgga"))
+    a = run_trial(cfg, build_channel_matrix(cfg, sample_users(12345, cfg)), ("vss", "pgga"))
+    b = run_trial(cfg, build_channel_matrix(cfg, sample_users(12345, cfg)), ("vss", "pgga"))
     assert a == b
 
 
 def test_run_trial_orderings_hold():
     cfg = SystemConfig(n_antennas=10, n_users=1)
-    results = run_trial(cfg, 99, ("vss", "brute_force", "best_singleton"))
+    B = build_channel_matrix(cfg, sample_users(99, cfg))
+    results = run_trial(cfg, B, ("vss", "brute_force", "best_singleton"))
     v = results["vss"]
     b = results["brute_force"]
     s = results["best_singleton"]
@@ -55,8 +59,9 @@ def test_run_trial_orderings_hold():
 def test_trial_placements_independent_of_solver_set():
     cfg = SystemConfig(n_antennas=9, n_users=1)
     seed = derive_seed(7, 9, 4)
-    only_vss = run_trial(cfg, seed, ("vss",))
-    both = run_trial(cfg, seed, ("vss", "pgga"))
+    B = build_channel_matrix(cfg, sample_users(seed, cfg))
+    only_vss = run_trial(cfg, B, ("vss",))
+    both = run_trial(cfg, B, ("vss", "pgga"))
     assert only_vss["vss"] == both["vss"]
 
 
@@ -76,11 +81,62 @@ def test_single_trial_aggregate_equals_trial():
     base = SystemConfig(n_users=1)
     spec = ExperimentSpec(base, n_values=(5,), solvers=("vss",), n_trials=1, seed=11)
     agg = run_sweep(spec)
-    res = run_trial(base.with_antennas(5), derive_seed(11, 5, 0), ("vss",))["vss"]
+    cfg = base.with_antennas(5)
+    B = build_channel_matrix(cfg, sample_users(derive_seed(11, 5, 0), cfg))
+    res = run_trial(cfg, B, ("vss",))["vss"]
     entry = agg[5, "vss"]
     assert entry.mean_min_rate == rate_from_metric(base.with_antennas(5), res.metric)
     assert entry.mean_evaluations == res.evaluations
     assert entry.mean_active_count == res.activation.active_count
+
+
+_COUNTED = (
+    "sample_users",
+    "build_channel_matrix",
+    "run_trial",
+    "vss_select",
+    "brute_force_select",
+    "greedy_pgga_select",
+    "best_singleton",
+)
+
+
+def _count_calls(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in _COUNTED:
+        real = getattr(harness, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+    return calls
+
+
+def test_sweep_builds_each_chunk_once_and_solves_each_trial_once(monkeypatch):
+    spec = ExperimentSpec(
+        SystemConfig(n_users=2),
+        n_values=(5, 7),
+        solvers=("vss", "brute_force", "pgga", "best_singleton"),
+        n_trials=10,
+        seed=7,
+    )
+    whole = run_sweep(spec)  # 10 trials fit one chunk
+    monkeypatch.setattr(harness, "_BUILD_ROWS", 4)
+    calls = _count_calls(monkeypatch)
+    chunked = run_sweep(spec)
+    assert chunked == whole
+    trials = 2 * 10
+    assert calls == {
+        "sample_users": trials,
+        "build_channel_matrix": 2 * 3,  # chunks of 4, 4 and 2 trials per N
+        "run_trial": trials,
+        "vss_select": trials,
+        "brute_force_select": trials,
+        "greedy_pgga_select": trials,
+        "best_singleton": trials,
+    }
 
 
 def test_sweep_vss_dominates_pgga():
