@@ -1,22 +1,27 @@
 """Reference solvers: exhaustive subset search and a greedy baseline.
 
 ``brute_force_select`` is the exactness oracle. It splits the array into the
-low ``_LOW_BITS`` antennas and the rest, tabulates the subset sums of each
-part once, and scores each high subset against the whole low table in one
-numpy row, so every one of the 2^N - 1 non-empty masks is screened without a
-per-subset Python step and without an array of 2^N entries. A first pass keeps
-each row's maximum; a second recomputes only the rows that reach the
-near-maximal floor and rescores their masks one row at a time, grouped by
-active count, with the shared kernel ``metric.worst_user_metric`` on the
-canonical gather-sum ``metric.mask_signals``, ``_RESCORE_ROWS`` masks at once.
-The screening sums never become the answer and no more than one row of
-candidates is held: the reported optimum is bit-identical to ``maxmin_metric``
-and directly comparable with the trellis solver's output. A user whose gains
-are all zero makes every mask score 0, and the tie key alone
-picks the answer without a search. It refuses arrays larger than
-``BRUTE_FORCE_CAP`` (24) antennas before any work, with a message that states
-the subset count and the working-memory bound. The tests validate it against
-a naive rescorer that scores every subset from scratch.
+low ``_LOW_BITS`` antennas and the rest and tabulates the subset sums of each
+part once. The low table is held in popcount order, so the active count is
+constant within each of its popcount groups. A first pass scores
+``_SCREEN_ROWS`` high subsets at a time against the whole low table as one
+(rows, 2^_LOW_BITS) block, so every one of the 2^N - 1 non-empty masks is
+screened without a per-subset Python step and without an array of 2^N
+entries. It takes each group's maximum and divides only those by their counts:
+dividing by a positive count is monotone under rounding, so each row's maximum
+is exactly that of its divided entries. A second pass recomputes only the
+rows that reach the near-maximal floor, maps their entries back through the
+popcount order and rescores their masks one row at a time, grouped by active
+count, with the shared kernel ``metric.worst_user_metric`` on the canonical
+gather-sum ``metric.mask_signals``, ``_RESCORE_ROWS`` masks at once. The
+screening sums never become the answer and no more than one row of candidates
+is held: the reported optimum is bit-identical to ``maxmin_metric`` and
+directly comparable with the trellis solver's output. A user whose gains are
+all zero makes every mask score 0, and the tie key alone picks the answer
+without a search. It refuses arrays larger than ``BRUTE_FORCE_CAP`` (24)
+antennas before any work, with a message that states the subset count and the
+working-memory bound. The tests validate it against a naive rescorer that
+scores every subset from scratch.
 
 ``best_singleton`` scores every column at once with the shared kernel
 ``metric.worst_user_metric`` and takes the first maximum.
@@ -53,6 +58,10 @@ _SHORTLIST_RTOL = 1e-9
 # active) gather of a many-way tie well inside the working-memory bound.
 _RESCORE_ROWS = 64
 
+# High subsets screened per block of (rows, 2^_LOW_BITS) buffers: enough to
+# share each numpy call's overhead, few enough for the working-memory bound.
+_SCREEN_ROWS = 4
+
 
 def _working_bytes(n_antennas: int, n_users: int) -> int:
     """Upper bound on the split tables, row buffers and one row of
@@ -77,9 +86,10 @@ def check_brute_force_size(n_antennas: int, n_users: int) -> None:
 def _subset_table(columns: np.ndarray) -> np.ndarray:
     """Sum of every subset of the columns; subset s (bit j = column j) is
     column s of the result."""
-    table = np.zeros((columns.shape[0], 1), dtype=columns.dtype)
-    for j in range(columns.shape[1]):
-        table = np.concatenate((table, table + columns[:, j : j + 1]), axis=1)
+    rows, n = columns.shape
+    table = np.zeros((rows, 1 << n), dtype=columns.dtype)
+    for j in range(n):
+        np.add(table[:, : 1 << j], columns[:, j : j + 1], out=table[:, 1 << j : 2 << j])
     return table
 
 
@@ -95,48 +105,76 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
         mask = (0,) * (n_antennas - 1) + (1,)
         return SolverResult(ActivationVector(mask), 0.0, evaluations)
 
-    # mask = low | high << k; row h scores high subset h with every low subset
+    # mask = low | high << k. The low table is held in popcount order, so the
+    # active count is constant within each of its k + 1 groups, which begin
+    # at ``starts``; ``order`` maps a position back to its low subset. The
+    # parts of a complex subset sum are the subset sums of the parts, bit for
+    # bit, so the low table is built as two real tables; ``np.take`` keeps
+    # each user's row contiguous, which ``table[:, order]`` does not.
     k = min(n_antennas, _LOW_BITS)
-    low = _subset_table(gains[:, :k])
-    low_re, low_im = low.real.copy(), low.imag.copy()
+    low_count = _subset_table(np.ones((1, k), dtype=np.uint8))[0]
+    order = np.argsort(low_count, kind="stable")
+    low_count = low_count[order]
+    starts = np.searchsorted(low_count, np.arange(k + 1))
+    low_re = np.take(_subset_table(gains[:, :k].real), order, axis=1)
+    low_im = np.take(_subset_table(gains[:, :k].imag), order, axis=1)
     high = _subset_table(gains[:, k:])
-    low_count = _subset_table(np.ones((1, k)))[0]
-    high_count = _subset_table(np.ones((1, n_antennas - k)))[0]
-    re, im, worst, count = (np.empty(1 << k) for _ in range(4))
+    n_high = high.shape[1]
+    # counts[h, c]: the active count of high row h with low popcount c (at
+    # most BRUTE_FORCE_CAP, so uint8 holds it)
+    high_count = _subset_table(np.ones((1, n_antennas - k), dtype=np.uint8))[0]
+    counts = high_count[:, None] + np.arange(k + 1, dtype=np.uint8)
+    counts[0, 0] = 1  # the empty mask, which scores -inf
+    shape = (min(_SCREEN_ROWS, n_high), 1 << k)
+    worst, im = np.empty(shape), np.empty(shape)
+    re = np.empty(shape) if n_users > 1 else None
 
-    def score_row(h: int) -> np.ndarray:
-        worst.fill(math.inf)
+    def screen(h0: int, h1: int) -> np.ndarray:
+        """Worst-user power of high rows h0 .. h1 - 1 with every low subset.
+        User 0's power is written straight into the result: no power is NaN,
+        so that equals its minimum with +inf, and one user needs no third
+        buffer."""
+        w, i = worst[: h1 - h0], im[: h1 - h0]
         for m in range(n_users):
-            z = high[m, h]
-            np.add(low_re[m], z.real, out=re)
-            np.add(low_im[m], z.imag, out=im)
-            np.multiply(re, re, out=re)
-            np.multiply(im, im, out=im)
-            np.add(re, im, out=re)
-            np.minimum(worst, re, out=worst)
-        np.add(low_count, high_count[h], out=count)
-        if h == 0:  # the empty mask: never a candidate
-            worst[0] = -math.inf
-            count[0] = 1.0
-        return np.divide(worst, count, out=worst)
+            r = re[: h1 - h0] if m else w
+            z = high[m, h0:h1, None]
+            np.add(low_re[m], z.real, out=r)
+            np.add(low_im[m], z.imag, out=i)
+            np.multiply(r, r, out=r)
+            np.multiply(i, i, out=i)
+            np.add(r, i, out=r)
+            if m:
+                np.minimum(w, r, out=w)
+        if h0 == 0:  # the empty mask: never a candidate
+            w[0, 0] = -math.inf
+        return w
 
-    row_max = np.array([score_row(h).max() for h in range(high.shape[1])])
+    # first pass, a block of rows at a time: each popcount group's maximum
+    # over its one count. Dividing by a positive count is monotone under
+    # rounding, so every row maximum equals that of the divided row.
+    row_max = np.empty(n_high)
+    for h0 in range(0, n_high, shape[0]):
+        h1 = min(h0 + shape[0], n_high)
+        group_max = np.maximum.reduceat(screen(h0, h1), starts, axis=1)
+        np.divide(group_max, counts[h0:h1], out=group_max)
+        np.maximum.reduce(group_max, axis=1, out=row_max[h0:h1])
     floor = row_max.max() * (1.0 - _SHORTLIST_RTOL)
 
     # rescore the near-maximal masks row by row with the shared kernel, one
     # popcount group at a time; exact ties go to fewer antennas, then to the
     # lexicographically smallest mask sequence
-    low_bits = _subset_table(np.eye(k, dtype=bool)).T  # row s: the bits of s
-    high_bits = _subset_table(np.eye(n_antennas - k, dtype=bool)).T
+    low_bits, high_bits = np.arange(k), np.arange(n_antennas - k)
     keys = []
     for h in np.flatnonzero(row_max >= floor).tolist():
-        lows = np.flatnonzero(score_row(h) >= floor)
+        scores = screen(h, h + 1)[0]
+        scores /= counts[h, low_count]
+        lows = order[np.flatnonzero(scores >= floor)]
         block = np.empty((len(lows), n_antennas), dtype=bool)
-        block[:, :k] = low_bits[lows]
-        block[:, k:] = high_bits[h]
-        counts = block.sum(axis=1)
-        for c in np.flatnonzero(np.bincount(counts)).tolist():
-            group = block[counts == c]
+        block[:, :k] = (lows[:, None] >> low_bits) & 1
+        block[:, k:] = (h >> high_bits) & 1
+        actives = block.sum(axis=1)
+        for c in np.flatnonzero(np.bincount(actives)).tolist():
+            group = block[actives == c]
             chunks = [
                 worst_user_metric(mask_signals(gains, group[i : i + _RESCORE_ROWS], c), c)
                 for i in range(0, len(group), _RESCORE_ROWS)

@@ -80,19 +80,23 @@ class ExperimentSpec:
         object.__setattr__(self, "solvers", tuple(self.solvers))
 
 
-# Placements built by one stacked channel call: bounds the (T, M, N) arrays
-# of one build, whatever the trial count.
-_BUILD_ROWS = 64
+# Gains (trials x users x antennas) built by one stacked channel call: bounds
+# the (T, M, N) arrays of one build, whatever the trial count or array size.
+# At their default trial counts, every benchmark workload and script builds
+# each antenna count in one call.
+_BUILD_ENTRIES = 1 << 16
 
 
 def trial_channels(config: SystemConfig, seed: int, n_trials: int) -> Iterator[ChannelMatrix]:
     """Channels of trials ``0 .. n_trials - 1`` at ``config``'s antenna count,
     in trial order. Each trial's placement is drawn from its own derived seed;
-    up to ``_BUILD_ROWS`` placements are stacked and built in one call, so a
-    too-close placement is refused before any trial of its chunk is used."""
+    as many placements as fit ``_BUILD_ENTRIES`` gains (at least one) are
+    stacked and built in one call, so a too-close placement is refused before
+    any trial of its chunk is used."""
     n = config.n_antennas
-    for start in range(0, n_trials, _BUILD_ROWS):
-        trials = range(start, min(start + _BUILD_ROWS, n_trials))
+    rows = max(1, _BUILD_ENTRIES // (config.n_users * n))
+    for start in range(0, n_trials, rows):
+        trials = range(start, min(start + rows, n_trials))
         users = [sample_users(derive_seed(seed, n, t), config) for t in trials]
         yield from build_channel_matrix(config, users)
 

@@ -89,7 +89,7 @@ def accumulated_signal(B: "ChannelMatrix | np.ndarray", mask: Sequence[int]) -> 
     m = np.asarray(mask)
     if m.shape != (gains.shape[1],):
         raise ValueError(f"mask of shape {m.shape} does not match {gains.shape[1]} antennas")
-    if not np.isin(m, (0, 1)).all():
+    if not np.logical_or(m == 0, m == 1).all():
         raise ValueError(f"mask entries must be 0 or 1, got {m.tolist()}")
     if not m.any():
         raise ValueError("mask must have at least one active antenna")

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pinchsel import baselines
 from pinchsel.baselines import (
     _working_bytes,
     best_singleton,
@@ -206,6 +207,68 @@ class TestBruteForce:
             slow = _brute_force_naive(B)
             assert fast.metric == slow.metric
             assert fast.activation == slow.activation
+
+    @pytest.mark.parametrize("n_antennas", [12, 13, 14, 15])
+    def test_screening_blocks_match_naive(self, n_antennas):
+        # 1, 2, 4 and 8 high rows: a single partial block, a whole block and
+        # a boundary between blocks
+        for n_users in (1, 3):
+            B = _random_gains(300 * n_antennas + n_users, n_users, n_antennas)
+            fast = brute_force_select(B)
+            slow = _brute_force_naive(B)
+            assert fast.metric == slow.metric
+            assert fast.activation == slow.activation
+
+    @pytest.mark.parametrize("n_antennas,rows", [(13, None), (15, 3)])
+    def test_optimum_in_the_last_partial_block(self, monkeypatch, n_antennas, rows):
+        # strong co-phased top antennas put the optimum's high row in the last
+        # block, which is partial: 2 rows of one block at N=13, or rows 6-7
+        # after blocks of 3 at N=15
+        if rows is not None:
+            monkeypatch.setattr(baselines, "_SCREEN_ROWS", rows)
+        B = _random_gains(17 * n_antennas, 2, n_antennas)
+        B[:, 12:] = 6.0 * np.exp(1j * np.array([[0.3], [-1.1]]))
+        fast = brute_force_select(B)
+        slow = _brute_force_naive(B)
+        n_high, block = 1 << (n_antennas - 12), baselines._SCREEN_ROWS
+        last = (n_high - 1) // block * block  # first row of the last block
+        assert n_high - last < block
+        row = sum(1 << (j - 12) for j in _indices(slow) if j >= 12)  # mask >> 12
+        assert row >= last
+        assert fast.metric == slow.metric
+        assert fast.activation == slow.activation
+
+    @pytest.mark.parametrize("seed", [169, 175])
+    def test_optimum_at_the_end_of_a_popcount_group(self, seed):
+        # strong co-phased low antennas 12 - c .. 11 make the optimum's low
+        # part the last mask of its popcount group, the entry a misplaced
+        # group start divides by the next group's count
+        rng = np.random.default_rng(seed)
+        m, n, c = int(rng.integers(1, 3)), int(rng.integers(13, 15)), int(rng.integers(1, 4))
+        B = 0.3 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        B[:, 12 - c : 12] += np.exp(1j * rng.uniform(0, 6.3, (m, 1)))
+        B[:, 12:] += rng.uniform(0, 1.5) * np.exp(1j * rng.uniform(0, 6.3, (m, n - 12)))
+        fast = brute_force_select(B)
+        slow = _brute_force_naive(B)
+        low = [j for j in _indices(slow) if j < 12]
+        assert low == list(range(12 - len(low), 12))
+        assert fast.metric == slow.metric
+        assert fast.activation == slow.activation
+
+    @pytest.mark.parametrize("n_antennas", [12, 13, 14, 16, 24])
+    def test_working_memory_bound_for_one_user(self, n_antennas):
+        # one user has the smallest stated bound: the screening buffers must
+        # fit it with a single high row, with partial and whole blocks, and
+        # with the full high table at the cap
+        B = _random_gains(n_antennas, 1, n_antennas)
+        brute_force_select(B[:, :3])  # numpy's lazy set-up is not the search's
+        tracemalloc.start()
+        try:
+            brute_force_select(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _working_bytes(n_antennas, 1)
 
     def test_gray_matches_naive_on_exact_ties(self):
         B = np.array([[1.0 + 0j, -1.0 + 0j, 1.0 + 0j]])

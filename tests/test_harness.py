@@ -123,20 +123,34 @@ def test_sweep_builds_each_chunk_once_and_solves_each_trial_once(monkeypatch):
         seed=7,
     )
     whole = run_sweep(spec)  # 10 trials fit one chunk
-    monkeypatch.setattr(harness, "_BUILD_ROWS", 4)
+    monkeypatch.setattr(harness, "_BUILD_ENTRIES", 4 * 2 * 7)
     calls = _count_calls(monkeypatch)
     chunked = run_sweep(spec)
     assert chunked == whole
     trials = 2 * 10
     assert calls == {
         "sample_users": trials,
-        "build_channel_matrix": 2 * 3,  # chunks of 4, 4 and 2 trials per N
+        # chunks of 5 and 5 trials at N=5, of 4, 4 and 2 at N=7
+        "build_channel_matrix": 2 + 3,
         "run_trial": trials,
         "vss_select": trials,
         "brute_force_select": trials,
         "greedy_pgga_select": trials,
         "best_singleton": trials,
     }
+
+
+def test_large_array_stack_is_split(monkeypatch):
+    # 2^14 antennas for one user fill a quarter of the entry budget: chunks of
+    # 4, 4 and 2 placements, each channel bit for bit its lone build
+    config = SystemConfig(n_users=1).with_antennas(1 << 14)
+    calls = _count_calls(monkeypatch)
+    channels = list(harness.trial_channels(config, 7, 10))
+    assert calls["build_channel_matrix"] == 3
+    assert calls["sample_users"] == 10
+    for t, B in enumerate(channels):
+        lone = build_channel_matrix(config, sample_users(derive_seed(7, 1 << 14, t), config))
+        assert B.gains.tobytes() == lone.gains.tobytes()
 
 
 def test_sweep_vss_dominates_pgga():

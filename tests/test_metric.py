@@ -82,6 +82,9 @@ class TestAccumulatedSignal:
             ((0, 2, 1, 0), "entries must be 0 or 1"),
             ((1, 0, -1, 0), "entries must be 0 or 1"),
             ((0.5, 1, 0, 0), "entries must be 0 or 1"),
+            (("1", "0", "0", "0"), "entries must be 0 or 1"),
+            ((float("nan"), 1, 0, 0), "entries must be 0 or 1"),
+            ((None, 1, 0, 0), "entries must be 0 or 1"),
             ((0, 0, 0, 0), "at least one active antenna"),
             (np.zeros(4, dtype=bool), "at least one active antenna"),
         ]
