@@ -62,12 +62,17 @@ _RESCORE_ROWS = 64
 # share each numpy call's overhead, few enough for the working-memory bound.
 _SCREEN_ROWS = 4
 
+# numpy's fixed cost per search (array headers, small temporaries), which
+# outweighs the tables below N=7: tracemalloc peaks of 7-13 KB at N <= 6,
+# M <= 3.
+_FIXED_BYTES = 16 * 2**10
+
 
 def _working_bytes(n_antennas: int, n_users: int) -> int:
     """Upper bound on the split tables, row buffers and one row of
-    shortlisted masks of one search."""
+    shortlisted masks of one search, at every N."""
     k = min(n_antennas, _LOW_BITS)
-    return 64 * (n_users + 1) * ((1 << k) + (1 << (n_antennas - k)))
+    return _FIXED_BYTES + 64 * (n_users + 1) * ((1 << k) + (1 << (n_antennas - k)))
 
 
 def check_brute_force_size(n_antennas: int, n_users: int) -> None:

@@ -5,6 +5,11 @@ effective configuration, then ``x y`` rows with 6 significant digits) so they
 drop straight into gnuplot/pgfplots/matplotlib. A CSV sidecar carries full
 diagnostics at full float precision.
 
+Every run setting has one row in ``_OPTIONS``, and ``_resolve`` is the one
+place where a setting's text becomes its value: a flag's text and a
+config-file value go through the same converter, and a bad one is a single
+``error:`` line that names the flag or the key.
+
 Exit codes: 0 success, 1 usage/configuration error, 2 verification failure
 or a solver invariant violated during a run.
 """
@@ -16,7 +21,6 @@ import csv
 import dataclasses
 import functools
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -70,18 +74,19 @@ def parse_solvers(text: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-class _FeedXError(ValueError, argparse.ArgumentTypeError):
-    """A bad feed_x: argparse prints the message for ``--feed-x``, and
-    ``main`` reports it as a usage error when it comes from a config file."""
-
-
 def _feed_x(text: str) -> float | None:
     if text.strip().lower() == "auto":
         return None
     try:
         return float(text)
     except ValueError:
-        raise _FeedXError(f"feed_x takes a number (m) or auto, got {text!r}") from None
+        raise ValueError(f"feed_x takes a number (m) or auto, got {text!r}") from None
+
+
+def _format(text: str) -> str:
+    if text not in ("dat", "csv", "both"):
+        raise ValueError(f"--format must be dat, csv or both, got {text!r}")
+    return text
 
 
 def _same(value):
@@ -90,8 +95,9 @@ def _same(value):
 
 class _Option(NamedTuple):
     """One run setting. ``convert`` turns flag and config-file text into its
-    value; ``field`` names the ``SystemConfig`` field the value sets, after
-    ``to_field`` converts it to that field's units."""
+    value, and ``default`` is a value already; ``field`` names the
+    ``SystemConfig`` field the value sets, after ``to_field`` converts it to
+    that field's units."""
 
     convert: Callable[[str], object]
     default: object
@@ -122,11 +128,11 @@ def _physical(
 # config-file keys, their conversion, the defaults and the ``#`` header of
 # every output file all come from this table.
 _OPTIONS: dict[str, _Option] = {
-    "n": _Option(str, None, "antenna counts: 10, 5,10,20 or 5..50:5"),
+    "n": _Option(parse_n_values, None, "antenna counts: 10, 5,10,20 or 5..50:5"),
     "users": _physical(int, "n_users", "number of ground users"),
     "trials": _Option(int, 150, "Monte Carlo trials per point"),
     "seed": _Option(int, 7, "master seed"),
-    "solvers": _Option(str, "vss", "comma list: vss, brute, pgga, singleton"),
+    "solvers": _Option(parse_solvers, ("vss",), "comma list: vss, brute, pgga, singleton"),
     "q_bins": _physical(int, "phase_bins", "phase bins per user"),
     "power_dbm": _physical(float, "tx_power", "transmit power", *_DBM),
     "noise_dbm": _physical(float, "noise_power", "noise power", *_DBM),
@@ -136,7 +142,7 @@ _OPTIONS: dict[str, _Option] = {
     "neff": _physical(float, "refractive_index", "waveguide refractive index"),
     "feed_x": _physical(_feed_x, "feed_x", "feed x (m) or auto"),
     "out_dir": _Option(Path, Path("."), "output directory", in_header=False),
-    "format": _Option(str, "both", "outputs", in_header=False, metavar="{dat,csv,both}"),
+    "format": _Option(_format, "both", "outputs", in_header=False, metavar="{dat,csv,both}"),
 }
 
 
@@ -152,33 +158,23 @@ def _header_text(value: object) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Fully resolved configuration (flags > config file > defaults): one
-    value per ``_OPTIONS`` key, in table order, with ``n`` and ``solvers``
-    parsed into tuples."""
+def system_config(settings: dict[str, object], n_antennas: int) -> SystemConfig:
+    fields = {}
+    for key, opt in _OPTIONS.items():
+        if opt.field:
+            try:
+                fields[opt.field] = opt.to_field(settings[key])
+            except ValueError as exc:  # a dBm power beyond the float range
+                raise ValueError(f"{key}: {exc}") from None
+    return SystemConfig(n_antennas=n_antennas, **fields)
 
-    values: dict[str, object]
 
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def system_config(self, n_antennas: int) -> SystemConfig:
-        fields = {}
-        for key, opt in _OPTIONS.items():
-            if opt.field:
-                try:
-                    fields[opt.field] = opt.to_field(self.values[key])
-                except ValueError as exc:  # a dBm power beyond the float range
-                    raise ValueError(f"{key}: {exc}") from None
-        return SystemConfig(n_antennas=n_antennas, **fields)
-
-    def header_line(self) -> str:
-        return " ".join(
-            f"{key}={_header_text(value)}"
-            for key, value in self.values.items()
-            if _OPTIONS[key].in_header
-        )
+def header_line(settings: dict[str, object]) -> str:
+    return " ".join(
+        f"{key}={_header_text(value)}"
+        for key, value in settings.items()
+        if _OPTIONS[key].in_header
+    )
 
 
 def read_config_file(path: Path) -> dict[str, str]:
@@ -195,50 +191,48 @@ def read_config_file(path: Path) -> dict[str, str]:
     return entries
 
 
-def _convert_file_value(key: str, text: str):
-    """Convert one config-file value; a bad number names its key."""
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _setting(key: str, args: argparse.Namespace, file_vals: dict[str, str]) -> object:
+    """One setting's value: its flag, else its config-file key, else its
+    default. A bad number names the flag or key it came from."""
+    if hasattr(args, key):  # flags left unset are absent, not None
+        text, source = getattr(args, key), "--" + key.replace("_", "-")
+    elif key in file_vals:
+        text, source = file_vals[key], f"config key {key}"
+    else:
+        return _OPTIONS[key].default
     convert = _OPTIONS[key].convert
     try:
         return convert(text)
-    except _FeedXError:
-        raise
     except ValueError:
-        kind = "an integer" if convert is int else "a number"
-        raise ValueError(f"config key {key}: expected {kind}, got {text!r}") from None
+        if convert not in _KINDS:
+            raise
+        raise ValueError(f"{source}: expected {_KINDS[convert]}, got {text!r}") from None
 
 
-def _resolve(args: argparse.Namespace, need_solvers: bool) -> CliConfig:
+def _resolve(args: argparse.Namespace, need_solvers: bool) -> dict[str, object]:
+    """Every setting (flags > config file > defaults), in table order."""
     file_vals: dict[str, str] = {}
     if hasattr(args, "config"):
         file_vals = read_config_file(Path(args.config))
         unknown = set(file_vals) - set(_OPTIONS)
         if unknown:
             raise ValueError(f"unknown config-file keys: {sorted(unknown)}")
-    values: dict[str, object] = {}
-    for key, opt in _OPTIONS.items():
-        if hasattr(args, key):  # flags left unset are absent, not None
-            values[key] = getattr(args, key)
-        elif key in file_vals:
-            values[key] = _convert_file_value(key, file_vals[key])
-        else:
-            values[key] = opt.default
-    if values["n"] is None:
+    settings = {key: _setting(key, args, file_vals) for key in _OPTIONS}
+    if settings["n"] is None:
         raise ValueError("--n is required (flag or config file)")
-    # the one format check, for flag and file values alike
-    if values["format"] not in ("dat", "csv", "both"):
-        raise ValueError(f"--format must be dat, csv or both, got {values['format']!r}")
-    values["n"] = parse_n_values(values["n"])
-    # a file's solvers key is checked for every command; convergence runs vss
-    solvers = parse_solvers(values["solvers"])
-    values["solvers"] = solvers if need_solvers else ("vss",)
-    return CliConfig(values)
+    if not need_solvers:  # a file's solvers key is checked; convergence runs vss
+        settings["solvers"] = ("vss",)
+    return settings
 
 
 def _add_run_flags(sub: argparse.ArgumentParser, with_solvers: bool) -> None:
     for key, opt in _OPTIONS.items():
         if with_solvers or key != "solvers":
             flag = "--" + key.replace("_", "-")
-            sub.add_argument(flag, type=opt.convert, help=opt.help, metavar=opt.metavar)
+            sub.add_argument(flag, help=opt.help, metavar=opt.metavar)
     sub.add_argument("--config", help="key=value config file")
 
 
@@ -267,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the self-check battery")
     p_verify.add_argument("--quick", action="store_true", help="reduced trial counts")
-    p_verify.add_argument("--seed", type=int, default=7)
+    p_verify.add_argument("--seed", default=argparse.SUPPRESS)
     return parser
 
 
@@ -278,19 +272,19 @@ def _write_rows(path: Path, header: str, rows: list[tuple[int, float]]) -> None:
 
 
 def write_sweep_outputs(
-    cli: CliConfig, dat: dict[str, list[tuple[int, float]]], csv_name: str,
+    settings: dict[str, object], dat: dict[str, list[tuple[int, float]]], csv_name: str,
     columns: Sequence[str], csv_rows: list[list],
 ) -> None:
     """Write a run's files as ``--format`` asks: one ``.dat`` per ``dat``
     entry (file name to ``(x, y)`` rows), then the CSV summary, each under
     the ``#`` header, printing a ``wrote`` line per file."""
-    out_dir, header = cli["out_dir"], cli.header_line()
+    out_dir, header = settings["out_dir"], header_line(settings)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cli["format"] in ("dat", "both"):
+    if settings["format"] in ("dat", "both"):
         for name, rows in dat.items():
             _write_rows(out_dir / name, header, rows)
             print(f"wrote {out_dir / name}")
-    if cli["format"] in ("csv", "both"):
+    if settings["format"] in ("csv", "both"):
         path = out_dir / csv_name
         with path.open("w", newline="", encoding="ascii") as fh:
             fh.write(f"# {header}\n")
@@ -300,25 +294,25 @@ def write_sweep_outputs(
         print(f"wrote {path}")
 
 
-def _spec(cli: CliConfig) -> ExperimentSpec:
+def _spec(settings: dict[str, object]) -> ExperimentSpec:
     """The run over every N; building it refuses a bad run before any trial
     or file."""
     return ExperimentSpec(
-        base_config=cli.system_config(cli["n"][0]),
-        n_values=cli["n"],
-        solvers=cli["solvers"],
-        n_trials=cli["trials"],
-        seed=cli["seed"],
+        base_config=system_config(settings, settings["n"][0]),
+        n_values=settings["n"],
+        solvers=settings["solvers"],
+        n_trials=settings["trials"],
+        seed=settings["seed"],
     )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cli = _resolve(args, need_solvers=True)
-    agg = run_sweep(_spec(cli))
-    n_values, solvers = cli["n"], cli["solvers"]
+    settings = _resolve(args, need_solvers=True)
+    agg = run_sweep(_spec(settings))
+    n_values, solvers = settings["n"], settings["solvers"]
     entries = [(n, s, agg[n, s]) for n in n_values for s in solvers]
     write_sweep_outputs(
-        cli,
+        settings,
         {f"{s}_rate_vs_N.dat": [(n, agg[n, s].mean_min_rate) for n in n_values] for s in solvers},
         "sweep_summary.csv",
         ["N", "solver", "mean_rate", "mean_evals", "mean_active_count"],
@@ -328,12 +322,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    cli = _resolve(args, need_solvers=False)
-    curves = run_convergence(_spec(cli))  # a bad run is refused before any file
+    settings = _resolve(args, need_solvers=False)
+    curves = run_convergence(_spec(settings))  # a bad run is refused before any file
     stages = {n: list(enumerate(curve, start=1)) for n, curve in curves.items()}
     write_sweep_outputs(
-        cli,
-        {f"conv_N{n}_M{cli['users']}.dat": rows for n, rows in stages.items()},
+        settings,
+        {f"conv_N{n}_M{settings['users']}.dat": rows for n, rows in stages.items()},
         "convergence_summary.csv",
         ["N", "stage", "mean_rate"],
         [[n, stage, rate] for n, rows in stages.items() for stage, rate in rows],
@@ -342,7 +336,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_checks(quick=args.quick, seed=args.seed)
+    results = run_checks(quick=args.quick, seed=_setting("seed", args, {}))
     failed = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"

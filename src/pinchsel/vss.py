@@ -42,8 +42,12 @@ EDGE_TOL = 1e-6
 
 def check_block_size(n_antennas: int, n_bins: int, n_users: int) -> None:
     """Raise ``ValueError`` when the candidate block one stage screens
-    (N x Q^M x M entries) would exceed ``MAX_BLOCK_ENTRIES``."""
-    if n_antennas * n_bins**n_users * n_users > MAX_BLOCK_ENTRIES:
+    (N x Q^M x M entries) would exceed ``MAX_BLOCK_ENTRIES``.
+
+    At Q >= 2 and M >= 24 the block holds at least 24 * 2^24 entries, so it
+    is refused without computing Q^M, whose cost grows with M."""
+    huge = n_bins >= 2 and n_users >= 24
+    if huge or n_antennas * n_bins**n_users * n_users > MAX_BLOCK_ENTRIES:
         raise ValueError(
             f"trellis candidate block N*Q^M*M for N={n_antennas}, Q={n_bins}, "
             f"M={n_users} exceeds the limit of {MAX_BLOCK_ENTRIES} entries"

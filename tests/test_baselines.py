@@ -255,20 +255,29 @@ class TestBruteForce:
         assert fast.metric == slow.metric
         assert fast.activation == slow.activation
 
-    @pytest.mark.parametrize("n_antennas", [12, 13, 14, 16, 24])
-    def test_working_memory_bound_for_one_user(self, n_antennas):
-        # one user has the smallest stated bound: the screening buffers must
-        # fit it with a single high row, with partial and whole blocks, and
-        # with the full high table at the cap
-        B = _random_gains(n_antennas, 1, n_antennas)
+    @staticmethod
+    def _search_peak(B):
         brute_force_select(B[:, :3])  # numpy's lazy set-up is not the search's
         tracemalloc.start()
         try:
             brute_force_select(B)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < _working_bytes(n_antennas, 1)
+
+    @pytest.mark.parametrize("n_antennas", [1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 16, 24])
+    def test_working_memory_bound_for_one_user(self, n_antennas):
+        # one user has the smallest stated bound: the screening buffers must
+        # fit it with a single high row, with partial and whole blocks, and
+        # with the full high table at the cap; below N=7 numpy's fixed cost
+        # per array outweighs the tables
+        B = _random_gains(n_antennas, 1, n_antennas)
+        assert self._search_peak(B) < _working_bytes(n_antennas, 1)
+
+    @pytest.mark.parametrize("n_antennas", [1, 2, 3, 4, 5, 6])
+    def test_working_memory_bound_for_two_users_at_small_n(self, n_antennas):
+        B = _random_gains(n_antennas, 2, n_antennas)
+        assert self._search_peak(B) < _working_bytes(n_antennas, 2)
 
     def test_gray_matches_naive_on_exact_ties(self):
         B = np.array([[1.0 + 0j, -1.0 + 0j, 1.0 + 0j]])

@@ -11,7 +11,10 @@ import pytest
 
 import pinchsel.vss
 from pinchsel import harness, verify
-from pinchsel.cli import _resolve, build_parser, main, parse_n_values, parse_solvers
+from pinchsel.cli import (
+    _OPTIONS, _resolve, build_parser, header_line, main, parse_n_values, parse_solvers,
+    system_config,
+)
 from pinchsel.config import SystemConfig, dbm_to_watts, watts_to_dbm
 from pinchsel.harness import ExperimentSpec, run_sweep
 from pinchsel.metric import InvariantError
@@ -557,7 +560,7 @@ class TestHeader:
     @staticmethod
     def header(argv):
         args = build_parser().parse_args(argv)
-        return _resolve(args, need_solvers=args.command == "sweep").header_line()
+        return header_line(_resolve(args, need_solvers=args.command == "sweep"))
 
     @pytest.mark.parametrize("command", ["sweep", "convergence"])
     def test_defaults(self, command):
@@ -596,8 +599,8 @@ class TestHeader:
             assert float(written[key]) == float(value), (key, written[key])
 
     def test_default_system_config_is_the_dataclass_default(self):
-        cli = _resolve(build_parser().parse_args(["sweep", "--n", "10"]), True)
-        assert cli.system_config(10) == SystemConfig(n_antennas=10)
+        settings = _resolve(build_parser().parse_args(["sweep", "--n", "10"]), True)
+        assert system_config(settings, 10) == SystemConfig(n_antennas=10)
 
 
 # Every file both run commands write, under each --format, as sha256 prefixes
@@ -645,8 +648,122 @@ def test_output_bytes_pinned(command, fmt, tmp_path, capsys):
 def test_bad_feed_x_flag_says_number_or_auto(tmp_path, capsys):
     assert main(["sweep", "--n", "4", "--feed-x", "abc", "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "argument --feed-x: feed_x takes a number (m) or auto, got 'abc'" in err
+    assert err == "error: feed_x takes a number (m) or auto, got 'abc'\n"
     assert "_feed_x" not in err and "Traceback" not in err
+
+
+NUMBER_KEYS = [key for key, opt in _OPTIONS.items() if opt.convert in (int, float)]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key", NUMBER_KEYS)
+def test_bad_number_is_one_line_naming_its_source(key, source, tmp_path, capsys):
+    # flag text and file text meet the same converter and the same message
+    flag = "--" + key.replace("_", "-")
+    if source == "flag":
+        args, named = [flag, "abc"], flag
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key} = abc\n")
+        args, named = ["--config", str(tmp_path / "run.cfg")], f"config key {key}"
+    kind = "an integer" if _OPTIONS[key].convert is int else "a number"
+    out = tmp_path / "out"
+    assert main(["sweep", "--n", "5", *args, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {named}: expected {kind}, got 'abc'\n"
+    assert not out.exists()
+
+
+def test_file_value_a_flag_overrides_is_not_converted(tmp_path):
+    (tmp_path / "run.cfg").write_text("trials = abc\nfeed_x = abc\nsolvers = magic\n")
+    argv = ["sweep", "--config", str(tmp_path / "run.cfg"), "--n", "5", "--trials", "1",
+            "--feed-x", "auto", "--solvers", "vss"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_bad_verify_seed_is_one_line(capsys):
+    assert main(["verify", "--quick", "--seed", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed: expected an integer, got 'abc'\n"
+    assert captured.out == ""
+
+
+# --help texts at 80 columns, recorded before flags lost their argparse types
+HELP_TEXT = {
+    "sweep": (
+        "usage: pinchsel sweep [-h] [--n N] [--users USERS] [--trials TRIALS]\n"
+        "                      [--seed SEED] [--solvers SOLVERS] [--q-bins Q_BINS]\n"
+        "                      [--power-dbm POWER_DBM] [--noise-dbm NOISE_DBM]\n"
+        "                      [--room ROOM] [--height HEIGHT] [--freq-ghz FREQ_GHZ]\n"
+        "                      [--neff NEFF] [--feed-x FEED_X] [--out-dir OUT_DIR]\n"
+        "                      [--format {dat,csv,both}] [--config CONFIG]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N                 antenna counts: 10, 5,10,20 or 5..50:5\n"
+        "  --users USERS         number of ground users\n"
+        "  --trials TRIALS       Monte Carlo trials per point\n"
+        "  --seed SEED           master seed\n"
+        "  --solvers SOLVERS     comma list: vss, brute, pgga, singleton\n"
+        "  --q-bins Q_BINS       phase bins per user\n"
+        "  --power-dbm POWER_DBM\n"
+        "                        transmit power\n"
+        "  --noise-dbm NOISE_DBM\n"
+        "                        noise power\n"
+        "  --room ROOM           room side length (m)\n"
+        "  --height HEIGHT       waveguide height (m)\n"
+        "  --freq-ghz FREQ_GHZ   carrier (GHz)\n"
+        "  --neff NEFF           waveguide refractive index\n"
+        "  --feed-x FEED_X       feed x (m) or auto\n"
+        "  --out-dir OUT_DIR     output directory\n"
+        "  --format {dat,csv,both}\n"
+        "                        outputs\n"
+        "  --config CONFIG       key=value config file\n"
+    ),
+    "convergence": (
+        "usage: pinchsel convergence [-h] [--n N] [--users USERS] [--trials TRIALS]\n"
+        "                            [--seed SEED] [--q-bins Q_BINS]\n"
+        "                            [--power-dbm POWER_DBM] [--noise-dbm NOISE_DBM]\n"
+        "                            [--room ROOM] [--height HEIGHT]\n"
+        "                            [--freq-ghz FREQ_GHZ] [--neff NEFF]\n"
+        "                            [--feed-x FEED_X] [--out-dir OUT_DIR]\n"
+        "                            [--format {dat,csv,both}] [--config CONFIG]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N                 antenna counts: 10, 5,10,20 or 5..50:5\n"
+        "  --users USERS         number of ground users\n"
+        "  --trials TRIALS       Monte Carlo trials per point\n"
+        "  --seed SEED           master seed\n"
+        "  --q-bins Q_BINS       phase bins per user\n"
+        "  --power-dbm POWER_DBM\n"
+        "                        transmit power\n"
+        "  --noise-dbm NOISE_DBM\n"
+        "                        noise power\n"
+        "  --room ROOM           room side length (m)\n"
+        "  --height HEIGHT       waveguide height (m)\n"
+        "  --freq-ghz FREQ_GHZ   carrier (GHz)\n"
+        "  --neff NEFF           waveguide refractive index\n"
+        "  --feed-x FEED_X       feed x (m) or auto\n"
+        "  --out-dir OUT_DIR     output directory\n"
+        "  --format {dat,csv,both}\n"
+        "                        outputs\n"
+        "  --config CONFIG       key=value config file\n"
+    ),
+    "verify": (
+        "usage: pinchsel verify [-h] [--quick] [--seed SEED]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --quick      reduced trial counts\n"
+        "  --seed SEED\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_TEXT))
+def test_help_text_unchanged(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == HELP_TEXT[command]
 
 
 class TestVerifyCommand:

@@ -17,8 +17,10 @@ from pinchsel.metric import accumulated_signal, metric_from_accumulated
 from pinchsel import vss
 from pinchsel.verify import stage_problems
 from pinchsel.vss import (
+    MAX_BLOCK_ENTRIES,
     Stage,
     bucket_codes,
+    check_block_size,
     quantize_phase,
     root_stage,
     stage_expand,
@@ -227,6 +229,24 @@ class TestVssSelect:
     def test_zero_bins_refused(self, call):
         with pytest.raises(ValueError, match="n_bins must be >= 1, got 0"):
             call()
+
+    @pytest.mark.parametrize(
+        "n_bins,n_users,refused",
+        # verdicts of the exact N*Q^M*M comparison at N=1
+        [(2, 19, False), (2, 20, True), (2, 24, True), (1, 2**24, False), (1, 2**24 + 1, True)],
+    )
+    def test_block_size_boundary(self, n_bins, n_users, refused):
+        if not refused:
+            check_block_size(1, n_bins, n_users)
+            return
+        limit = f"Q={n_bins}, M={n_users} exceeds the limit of {MAX_BLOCK_ENTRIES} entries"
+        with pytest.raises(ValueError, match=limit):
+            check_block_size(1, n_bins, n_users)
+
+    def test_huge_block_refused_without_its_power(self):
+        # (10^9)^(10^6) has 9 million digits; the refusal never computes it
+        with pytest.raises(ValueError, match="N=5, Q=1000000000, M=1000000 exceeds"):
+            check_block_size(5, 10**9, 10**6)
 
     def test_degenerate_all_zero_matrix(self):
         with pytest.raises(ValueError):
