@@ -32,8 +32,8 @@ antenna whose gain projects best onto the worst user's current signal
 direction, stopping at the first non-improving step. It follows a single
 refinement trajectory by design. The active set is a boolean mask; each round
 scores every antenna's projection in one array expression and the one
-candidate with the kernel on its canonical column sum, so stored metrics are
-bit-identical to ``maxmin_metric``.
+candidate with the scalar reference ``metric.metric_from_accumulated`` on its
+canonical column sum, so stored metrics are bit-identical to ``maxmin_metric``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,13 @@ import math
 import numpy as np
 
 from .channel import ChannelMatrix, as_gains
-from .metric import ActivationVector, SolverResult, mask_signals, worst_user_metric
+from .metric import (
+    ActivationVector,
+    SolverResult,
+    mask_signals,
+    metric_from_accumulated,
+    worst_user_metric,
+)
 
 BRUTE_FORCE_CAP = 24
 
@@ -199,7 +205,7 @@ def best_singleton(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     gains = as_gains(B)
     n_antennas = gains.shape[1]
     metrics = worst_user_metric(gains.T, 1)
-    best = int(np.argmax(metrics))
+    best = int(metrics.argmax())
     mask = tuple(int(n == best) for n in range(n_antennas))
     return SolverResult(ActivationVector(mask), float(metrics[best]), n_antennas)
 
@@ -215,25 +221,25 @@ def greedy_pgga_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     gains = as_gains(B)
     n_antennas = gains.shape[1]
 
-    start = best_singleton(gains)
+    start = best_singleton(B)  # a ChannelMatrix is not validated again
     mask = np.array(start.activation.mask, dtype=bool)
     metric = start.metric
     evaluations = start.evaluations
-    z = gains[:, mask].sum(axis=1)
+    z = np.add.reduce(gains[:, mask], axis=1)
 
     for count in range(2, n_antennas + 1):
         mag = np.abs(z)
-        if mag.all():
+        if all(mag.tolist()):
             directions = z / mag
         else:  # a zero signal has no direction; it takes phase 0
             safe = np.where(mag > 0.0, mag, 1.0)
             directions = np.where(mag > 0.0, z / safe, 1.0 + 0j)
-        scores = (np.conj(directions)[:, None] * gains).real.min(axis=0)
+        scores = np.minimum.reduce((np.conj(directions)[:, None] * gains).real, axis=0)
         scores[mask] = -math.inf
-        best = np.argmax(scores)
+        best = scores.argmax()
         mask[best] = True
-        candidate = gains[:, mask].sum(axis=1)
-        candidate_metric = float(worst_user_metric(candidate, count))
+        candidate = np.add.reduce(gains[:, mask], axis=1)
+        candidate_metric = metric_from_accumulated(candidate.tolist(), count)
         evaluations += 1
         if candidate_metric <= metric:
             mask[best] = False

@@ -8,7 +8,8 @@ diagnostics at full float precision.
 Every run setting has one row in ``_OPTIONS``, and ``_resolve`` is the one
 place where a setting's text becomes its value: a flag's text and a
 config-file value go through the same converter, and a bad one is a single
-``error:`` line that names the flag or the key.
+``error:`` line that names the flag or the key. So is a flag without its value,
+an unknown flag or a config key set twice.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 verification failure
 or a solver invariant violated during a run.
@@ -22,7 +23,7 @@ import dataclasses
 import functools
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .config import SystemConfig, dbm_to_watts, watts_to_dbm
 from .harness import SOLVERS, ExperimentSpec, run_convergence, run_sweep
@@ -178,8 +179,10 @@ def header_line(settings: dict[str, object]) -> str:
 
 
 def read_config_file(path: Path) -> dict[str, str]:
-    """Key-value file: one ``key = value`` per line, ``#`` comments."""
+    """Key-value file: one ``key = value`` per line, ``#`` comments; a key
+    set twice is refused with both line numbers."""
     entries: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -187,7 +190,13 @@ def read_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        entries[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        if key in set_on:
+            raise ValueError(
+                f"{path}:{lineno}: config key {key} is already set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
+        entries[key] = value.strip()
     return entries
 
 
@@ -236,9 +245,18 @@ def _add_run_flags(sub: argparse.ArgumentParser, with_solvers: bool) -> None:
     sub.add_argument("--config", help="key=value config file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors (a flag without its value, an unknown
+    flag) raise ``ValueError``, so ``main`` prints them as one ``error:``
+    line instead of argparse's usage block. Subcommand parsers share it."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 @functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pinchsel",
         description="Antenna-subset activation experiments for a "
         "waveguide-fed pinching-antenna array",
@@ -350,18 +368,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
-        return 0 if exc.code == 0 else 1
     handlers = {
         "sweep": cmd_sweep,
         "convergence": cmd_convergence,
         "verify": cmd_verify,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit as exc:  # --help has printed its text
+        return 0 if exc.code == 0 else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

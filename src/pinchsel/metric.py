@@ -64,11 +64,19 @@ def metric_from_accumulated(accumulated: Sequence[complex], active_count: int) -
 
 
 def worst_user_metric(signals: np.ndarray, active: int) -> np.ndarray:
-    """Metric of each row of accumulated signals (users on the last axis):
-    min over users of re*re + im*im, over the active count. These are the IEEE
-    operations of ``metric_from_accumulated``, so results are bit-identical."""
-    power = signals.real * signals.real + signals.imag * signals.imag
-    return np.minimum.reduce(power, axis=-1) / active
+    """Metric of each row of accumulated signals (at least 2-D, users on the
+    last axis): min over users of re*re + im*im, over the active count. These
+    are the IEEE operations of ``metric_from_accumulated``, so results are
+    bit-identical. The minimum, exact in any order, is taken one user at a
+    time: a reduction along a short last axis costs one inner loop per row."""
+    re, im = signals.real, signals.imag
+    power = re * re
+    power += im * im
+    metric = power[..., 0]
+    for user in range(1, power.shape[-1]):
+        np.minimum(metric, power[..., user], out=metric)
+    metric /= active
+    return metric
 
 
 def mask_signals(gains: np.ndarray, masks: np.ndarray, active: int) -> np.ndarray:
@@ -78,7 +86,7 @@ def mask_signals(gains: np.ndarray, masks: np.ndarray, active: int) -> np.ndarra
     axis, so each row adds its terms in the order ``accumulated_signal`` does:
     the results are bit-identical to it."""
     idx = masks.nonzero()[1].reshape(len(masks), active)
-    return gains[:, idx].sum(axis=2).T
+    return np.add.reduce(gains[:, idx], axis=2).T
 
 
 def accumulated_signal(B: "ChannelMatrix | np.ndarray", mask: Sequence[int]) -> np.ndarray:

@@ -31,7 +31,7 @@ from .metric import (
     maxmin_metric,
     rate_from_metric,
 )
-from .vss import Stage, VssTrace, root_stage, stage_expand, vss_select
+from .vss import Stage, VssTrace, Walk, root_stage, stage_expand, vss_select
 
 
 @dataclass(frozen=True)
@@ -188,12 +188,13 @@ def check_trellis_invariants(quick: bool, seed: int) -> tuple[bool, str]:
 
         # walk the trellis manually, validate each stage, and rebuild the
         # result vss_select must return: two independent expansions agree
+        walk = Walk(gains, n_bins)
         stage = root_stage(n_antennas, n_users, n_bins)
         evaluations, running_best, survivors = 0, [], []
         best_metric, best_mask = -math.inf, None
         while len(stage):
             evaluations += int(np.count_nonzero(~stage.masks))
-            nxt = stage_expand(stage, gains, n_bins)
+            nxt = stage_expand(stage, walk)
             problems.extend(stage_problems(stage, nxt, gains, n_bins))
             if len(nxt):
                 row = int(np.argmax(nxt.metrics))

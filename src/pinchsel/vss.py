@@ -6,7 +6,9 @@ accumulated signals: the per-user bin indices, read as base-``n_bins`` digits
 with user 0 most significant, give one integer bucket in
 ``[0, n_bins ** n_users)``. Only the best-metric activation per bucket
 survives a stage, and a stage is held as a :class:`Stage` of arrays with one
-row per surviving bucket. Candidates are generated by switching on one
+row per surviving bucket. What every stage of one search shares (the gain
+columns, the bucket digit weights) is computed once, in the :class:`Walk`
+that ``stage_expand`` takes. Candidates are generated by switching on one
 additional antenna of a survivor, with the accumulated signal updated
 incrementally; a candidate is kept only if it strictly improves on the
 survivor it extends, so metrics increase strictly along every path and the
@@ -69,34 +71,46 @@ def quantize_phase(phi: float, n_bins: int) -> int:
     return min(k, n_bins - 1)  # guard against frac*n_bins rounding up to n_bins
 
 
-def bucket_codes(signals: np.ndarray, n_bins: int) -> np.ndarray:
+def digit_weights(n_bins: int, n_users: int) -> np.ndarray:
+    """Weight of each user's bin index in a bucket code: ``n_bins ** (M - 1)``
+    for user 0 (the most significant digit) down to 1 for the last user."""
+    return n_bins ** np.arange(n_users - 1, -1, -1, dtype=np.int64)
+
+
+def bucket_codes(
+    signals: np.ndarray, n_bins: int, weights: "np.ndarray | None" = None
+) -> np.ndarray:
     """Bucket of each row of an (S, M) signal array; a zero signal counts as
     phase 0. Digits come from ``np.arctan2`` and the position
     ``phi * Q / tau + Q / 2``, which is ``quantize_phase``'s formula up to
     rounding; an entry within ``EDGE_TOL * n_bins`` bins of a bin edge (the
     wrap at 0 and Q included) is re-binned by the scalar
     ``quantize_phase(math.atan2(...))``, so the result equals the scalar path
-    even where numpy and libm differ in the last bit."""
-    phi = np.arctan2(signals.imag, signals.real)
-    pos = phi * (n_bins / math.tau) + n_bins / 2
-    near = np.abs(pos - np.rint(pos))
+    even where numpy and libm differ in the last bit. ``weights`` are
+    ``digit_weights(n_bins, M)``, which a trellis walk computes once."""
+    if weights is None:
+        weights = digit_weights(n_bins, signals.shape[1])
+    pos = np.arctan2(signals.imag, signals.real)
+    pos *= n_bins / math.tau
+    pos += n_bins / 2
+    near = np.rint(pos)
+    np.subtract(pos, near, out=near)
+    np.abs(near, out=near)
+    tol = EDGE_TOL * n_bins
     edge = None
-    if not np.minimum.reduce(near, axis=None, initial=math.inf) > EDGE_TOL * n_bins:  # or NaN
+    if len(near) and not np.minimum.reduce(near, axis=None) > tol:  # or NaN; none if empty
         # written back by (row, column): a reshape of a strided input is a
         # copy; binned before the cast, so a NaN raises in quantize_phase
-        rows, cols = (~(near > EDGE_TOL * n_bins)).nonzero()
+        rows, cols = (~(near > tol)).nonzero()
         quant = quantize_phase  # looked up per call, so a rebinding takes effect
         edge = [quant(math.atan2(z.imag, z.real), n_bins) for z in signals[rows, cols].tolist()]
     digits = pos.astype(np.int64)
     if edge is not None:
         digits[rows, cols] = edge
-    codes = digits[:, 0]
-    for user in range(1, digits.shape[1]):  # user 0 is the most significant digit
-        codes = codes * n_bins + digits[:, user]
-    return codes
+    return digits.dot(weights)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Stage:
     """Survivors of one trellis stage, one row per bucket, ascending bucket."""
 
@@ -105,9 +119,27 @@ class Stage:
     metrics: np.ndarray  # (S,) float, bit-identical to maxmin_metric
     buckets: np.ndarray  # (S,) int, bucket code of the canonical signal
     parents: np.ndarray  # (S,) int, row in the previous stage (-1 at the root)
+    active: int  # the stage index: active antennas in every row
 
     def __len__(self) -> int:
         return len(self.metrics)
+
+
+class Walk:
+    """What every stage of one trellis walk shares, computed once per walk:
+    the validated (M, N) gains of ``as_gains``, their columns shaped to
+    broadcast against a stage's signals, and the bucket digit weights.
+    ``index`` holds the row numbers of the mask write; ``stage_expand`` grows
+    it when a stage has more winners than any before."""
+
+    __slots__ = ("gains", "n_bins", "columns", "weights", "index")
+
+    def __init__(self, gains: np.ndarray, n_bins: int) -> None:
+        self.gains = gains
+        self.n_bins = n_bins
+        self.columns = gains.T[:, None, :]  # (antenna, 1, user)
+        self.weights = digit_weights(n_bins, gains.shape[0])
+        self.index = np.arange(0)
 
 
 @dataclass(frozen=True)
@@ -147,46 +179,52 @@ def root_stage(n_antennas: int, n_users: int, n_bins: int) -> Stage:
         metrics=np.zeros(1),
         buckets=np.array([code], dtype=np.int64),
         parents=np.array([-1]),
+        active=0,
     )
 
 
-def stage_expand(stage: Stage, gains: np.ndarray, n_bins: int) -> Stage:
+def stage_expand(stage: Stage, walk: Walk) -> Stage:
     """Expand one stage into the next: screen every (antenna, parent row)
     extension at once, keep the best per bucket, rebuild the winners.
 
-    ``gains`` is the validated (M, N) complex array of ``as_gains``; it is not
-    checked again here, because ``vss_select`` calls this once per stage."""
-    if not len(stage):
+    ``walk`` holds the gains, which are not checked again here, because
+    ``vss_select`` calls this once per stage."""
+    if not len(stage.metrics):
         raise ValueError("stage must be non-empty")
-    active = int(np.count_nonzero(stage.masks[0])) + 1
-    z = stage.signals[None, :, :] + gains.T[:, None, :]  # (antenna, row, user)
+    active = stage.active + 1
+    n_bins, weights = walk.n_bins, walk.weights
+    z = stage.signals + walk.columns  # (antenna, row, user)
     cand = worst_user_metric(z, active)
-    # strict improvement gate; nonzero yields (antenna, parent row) order,
-    # which decides ties within a bucket
-    antenna, row = (~stage.masks.T & (cand > stage.metrics)).nonzero()
+    # strict improvement gate on inactive antennas (True > False is the only
+    # true order); nonzero yields (antenna, parent row) order, which decides
+    # ties within a bucket
+    antenna, row = ((cand > stage.metrics) > stage.masks.T).nonzero()
     if not len(row):  # the terminal stage: nothing to bin or rebuild
         return Stage(
-            stage.masks[:0], stage.signals[:0], stage.metrics[:0], stage.buckets[:0], row
+            stage.masks[:0], stage.signals[:0], stage.metrics[:0], stage.buckets[:0], row,
+            active,
         )
-    screened = bucket_codes(z[antenna, row], n_bins)
+    screened = bucket_codes(z[antenna, row], n_bins, weights)
     win = _best_per_bucket(screened, cand[antenna, row])
     antenna, row, screened = antenna[win], row[win], screened[win]
 
     masks = stage.masks[row]
-    masks[np.arange(len(row)), antenna] = True
-    signals = mask_signals(gains, masks, active)
+    if len(walk.index) < len(row):
+        walk.index = np.arange(len(row))
+    masks[walk.index[: len(row)], antenna] = True
+    signals = mask_signals(walk.gains, masks, active)
     metrics = worst_user_metric(signals, active)
     keep = metrics > stage.metrics[row]  # re-check the gate on the canonical value
-    if not keep.all():
+    if not np.logical_and.reduce(keep):
         masks, signals, metrics = masks[keep], signals[keep], metrics[keep]
         row, screened = row[keep], screened[keep]
-    buckets = bucket_codes(signals, n_bins)
-    if (buckets == screened).all():
+    buckets = bucket_codes(signals, n_bins, weights)
+    if np.logical_and.reduce(buckets == screened):
         # one row per bucket in ascending order already: the selection below
         # would return the identity
-        return Stage(masks, signals, metrics, buckets, row)
+        return Stage(masks, signals, metrics, buckets, row, active)
     win = _best_per_bucket(buckets, metrics)
-    return Stage(masks[win], signals[win], metrics[win], buckets[win], row[win])
+    return Stage(masks[win], signals[win], metrics[win], buckets[win], row[win], active)
 
 
 def vss_select(B: "ChannelMatrix | np.ndarray", n_bins: int) -> SolverResult:
@@ -202,6 +240,7 @@ def vss_select(B: "ChannelMatrix | np.ndarray", n_bins: int) -> SolverResult:
     n_users, n_antennas = gains.shape
     check_block_size(n_antennas, n_bins, n_users)
 
+    walk = Walk(gains, n_bins)
     stage = root_stage(n_antennas, n_users, n_bins)
     evaluations = 0
     running_best: list[float] = []
@@ -209,15 +248,16 @@ def vss_select(B: "ChannelMatrix | np.ndarray", n_bins: int) -> SolverResult:
     best_metric, best_mask = -math.inf, None
     for t in range(1, n_antennas + 1):
         # every row of stage t-1 has t-1 active antennas
-        evaluations += (n_antennas - t + 1) * len(stage)
-        stage = stage_expand(stage, gains, n_bins)
-        if not len(stage):
+        evaluations += (n_antennas - t + 1) * len(stage.metrics)
+        stage = stage_expand(stage, walk)
+        metrics = stage.metrics
+        if not len(metrics):
             break
-        row = int(stage.metrics.argmax())
-        if stage.metrics[row] > best_metric:
-            best_metric, best_mask = float(stage.metrics[row]), stage.masks[row]
+        row = metrics.argmax()
+        if metrics[row] > best_metric:
+            best_metric, best_mask = float(metrics[row]), stage.masks[row]
         running_best.append(best_metric)
-        survivors_per_stage.append(len(stage))
+        survivors_per_stage.append(len(metrics))
     if best_mask is None:
         raise ValueError(
             "no single-antenna activation has positive worst-user power; "

@@ -461,6 +461,72 @@ PARITY = [
      (20,), 51),
     ('paper', 50, 3, 2, '0x1.978a7a444d5b1p-10', (29,), 50, '0x1.978a7a444d5b1p-10',
      (29,), 51),
+    # the rest of the rate-sweep channels: N in 5..50:5, M=1, trials 0-3
+    ('paper', 5, 1, 3, '0x1.63f8581b256f6p-6', (4,), 5, '0x1.63f8581b256f6p-6',
+     (4,), 6),
+    ('paper', 10, 1, 0, '0x1.6116035fdb834p-9', (1,), 10, '0x1.5c354adb37300p-8',
+     (0, 1), 12),
+    ('paper', 10, 1, 1, '0x1.0d67f5d3bade7p-8', (7,), 10, '0x1.f66c7fe234c6fp-8',
+     (0, 4, 5, 7), 14),
+    ('paper', 10, 1, 2, '0x1.19fc72c645325p-7', (8,), 10, '0x1.36abcad9cdc3fp-6',
+     (6, 8, 9), 13),
+    ('paper', 10, 1, 3, '0x1.a284e02b7119ep-8', (1,), 10, '0x1.051b1ea895bb4p-7',
+     (1, 3), 12),
+    ('paper', 15, 1, 0, '0x1.9c0a337913b00p-9', (12,), 15, '0x1.b28bcd4049685p-8',
+     (2, 5, 7, 8, 12), 20),
+    ('paper', 15, 1, 1, '0x1.553ebc7347bbep-9', (10,), 15, '0x1.5222210c699a3p-7',
+     (0, 7, 9, 10, 12, 13), 21),
+    ('paper', 15, 1, 2, '0x1.be703c61287c0p-4', (10,), 15, '0x1.be703c61287c0p-4',
+     (10,), 16),
+    ('paper', 15, 1, 3, '0x1.e2dfb390b2d79p-10', (4,), 15, '0x1.e9359d6cba77ep-8',
+     (0, 3, 4, 6, 10, 11, 12, 14), 23),
+    ('paper', 20, 1, 3, '0x1.d6dc396a671cap-5', (13,), 20, '0x1.0d6d4ed7c6b5dp-3',
+     (12, 13, 14), 23),
+    ('paper', 25, 1, 0, '0x1.f3144a28ecc3cp-8', (10,), 25, '0x1.fd350cd09fdf2p-6',
+     (7, 8, 9, 10, 11, 12, 14, 18, 21), 34),
+    ('paper', 25, 1, 1, '0x1.c93d367c6099dp-10', (6,), 25, '0x1.65da1132e40bfp-7',
+     (0, 2, 3, 6, 7, 8, 9, 18, 21, 22, 23), 36),
+    ('paper', 25, 1, 2, '0x1.c24b087696905p-7', (18,), 25, '0x1.bb2645a64c466p-6',
+     (10, 18, 19, 21), 29),
+    ('paper', 25, 1, 3, '0x1.333e7cbccf2dcp-9', (2,), 25, '0x1.0a219dd65953ep-7',
+     (0, 2, 8, 9, 10, 17, 18, 24), 33),
+    ('paper', 30, 1, 0, '0x1.9ba73d27bd95bp-8', (6,), 30, '0x1.be64171c52509p-6',
+     (0, 2, 6, 7, 9, 12, 15, 16, 17, 18, 19, 20, 24, 29), 44),
+    ('paper', 30, 1, 1, '0x1.6c4fcb18f2e70p-4', (11,), 30, '0x1.2a8083d64bfb9p-3',
+     (5, 8, 10, 11, 14, 15), 36),
+    ('paper', 30, 1, 2, '0x1.c7f36e908685dp-9', (25,), 30, '0x1.cb89d8cfe0494p-7',
+     (2, 6, 9, 10, 11, 16, 18, 21, 23, 25, 27), 41),
+    ('paper', 30, 1, 3, '0x1.9f06db82537a8p-5', (10,), 30, '0x1.050a471c8c6bep-4',
+     (6, 10), 32),
+    ('paper', 35, 1, 0, '0x1.82ca3fc369366p-8', (5,), 35, '0x1.fb0c3ec070bafp-6',
+     (1, 2, 4, 5, 7, 8, 11, 12, 13, 18, 25, 28), 47),
+    ('paper', 35, 1, 1, '0x1.7b5ce5204e7b6p-9', (1,), 35, '0x1.4ce887d3692c2p-6',
+     (1, 2, 3, 4, 5, 9, 10, 12, 13, 14, 19, 24, 30, 31), 49),
+    ('paper', 35, 1, 2, '0x1.2abb50f69eb57p-4', (25,), 35, '0x1.38301cdf1ed27p-3',
+     (21, 22, 25, 28, 29), 40),
+    ('paper', 35, 1, 3, '0x1.90d947e7db7cbp-5', (27,), 35, '0x1.f5d67a5be44e6p-4',
+     (26, 27, 29, 31), 39),
+    ('paper', 40, 1, 0, '0x1.c70d34554c82cp-10', (24,), 40, '0x1.ca697db89b726p-7',
+     (1, 2, 4, 15, 17, 18, 19, 23, 24, 31, 32, 34, 37, 38), 54),
+    ('paper', 40, 1, 1, '0x1.5e29820145f40p-5', (5,), 40, '0x1.a5e91ef709366p-4',
+     (2, 4, 5, 8, 11), 45),
+    ('paper', 40, 1, 2, '0x1.a6c90145459eap-9', (14,), 40, '0x1.88808d2282c39p-6',
+     (2, 4, 5, 6, 8, 10, 12, 13, 14, 15, 17, 19, 20, 21, 22, 24, 25, 27, 28, 29, 30, 31,
+      39),
+     63),
+    ('paper', 40, 1, 3, '0x1.187a2d6ffd2e4p-8', (1,), 40, '0x1.cda94aa59f8a6p-7',
+     (0, 1, 5, 7, 14, 15, 18, 24, 26, 30), 50),
+    ('paper', 45, 1, 0, '0x1.e3e549748f7a6p-8', (8,), 45, '0x1.5ae9148572cc1p-5',
+     (0, 3, 4, 5, 8, 10, 13, 14, 15, 18, 19, 20, 25, 26, 27, 28, 29, 34, 35, 39, 40),
+     66),
+    ('paper', 45, 1, 1, '0x1.2829acfc5465dp-6', (12,), 45, '0x1.5fd2e30bfad01p-4',
+     (1, 2, 3, 9, 11, 12, 14, 17, 21, 25, 26, 27, 28, 29), 59),
+    ('paper', 45, 1, 2, '0x1.1dbc5b67e620dp-6', (37,), 45, '0x1.e1c125b87d1f9p-5',
+     (19, 24, 31, 32, 37, 38, 39, 42, 44), 54),
+    ('paper', 45, 1, 3, '0x1.d2f4c851c169bp-8', (9,), 45, '0x1.d442d13527696p-6',
+     (0, 3, 4, 9, 10, 14, 15), 52),
+    ('paper', 50, 1, 3, '0x1.ad68722cc5f8cp-10', (39,), 50, '0x1.fcafc7992a398p-7',
+     (0, 6, 7, 11, 15, 17, 19, 20, 21, 25, 26, 30, 31, 32, 39, 42, 43, 44, 49), 69),
     ('lattice', 5, 1, 0, '0x1.0000000000000p+3', (1,), 5, '0x1.4555555555555p+4',
      (1, 2, 4), 8),
     ('lattice', 5, 1, 1, '0x1.0000000000000p+3', (0,), 5, '0x1.2000000000000p+3',

@@ -483,6 +483,17 @@ class TestConfigFile:
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    @pytest.mark.parametrize("command", ["sweep", "convergence"])
+    def test_repeated_key_refused_with_both_lines(self, command, tmp_path, capsys):
+        # spelling and case fold into one key, so "Trials" repeats "trials"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("n = 4\ntrials = 2\n# again\nTrials = 3\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_file), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg_file}:4: config key trials is already set on line 2\n"
+        assert not out.exists()
+
     def test_feed_x_auto_means_default(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("n = 4\ntrials = 1\nfeed_x = Auto\n")
@@ -684,6 +695,28 @@ def test_bad_verify_seed_is_one_line(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --seed: expected an integer, got 'abc'\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["sweep", "--n", "4", "--trials"], "argument --trials: expected one argument"),
+        (["convergence", "--n", "4", "--q-bins"], "argument --q-bins: expected one argument"),
+        (["sweep", "--n", "4", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["convergence", "--n", "4", "--solvers", "vss"], "unrecognized arguments: --solvers vss"),
+        (["verify", "--seed"], "argument --seed: expected one argument"),
+    ],
+)
+def test_usage_error_is_one_line_naming_the_flag(args, message, tmp_path, capsys):
+    # as a bad value is: no usage block, exit 1, no output directory
+    out = tmp_path / "out"
+    if args[0] != "verify":
+        args = [args[0], "--out-dir", str(out), *args[1:]]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # --help texts at 80 columns, recorded before flags lost their argparse types

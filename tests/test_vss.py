@@ -19,6 +19,7 @@ from pinchsel.verify import stage_problems
 from pinchsel.vss import (
     MAX_BLOCK_ENTRIES,
     Stage,
+    Walk,
     bucket_codes,
     check_block_size,
     quantize_phase,
@@ -170,8 +171,10 @@ def test_rebuild_matches_per_row_sum(active, n_users):
         mask[rng.choice(n_antennas, active - 1, replace=False)] = True
     signals = np.array([gains[:, np.flatnonzero(mask)].sum(axis=1) for mask in masks])
     # zero parent metrics let every extension through the gate
-    stage = Stage(masks, signals, np.zeros(len(masks)), np.arange(len(masks)), np.full(9, -1))
-    nxt = stage_expand(stage, gains, 16)
+    stage = Stage(
+        masks, signals, np.zeros(len(masks)), np.arange(len(masks)), np.full(9, -1), active - 1
+    )
+    nxt = stage_expand(stage, Walk(gains, 16))
     assert len(nxt) > 1
     assert np.count_nonzero(nxt.masks, axis=1).tolist() == [active] * len(nxt)
     for mask, signal in zip(nxt.masks, nxt.signals):
@@ -185,9 +188,9 @@ def test_canonical_gate_drops_a_screened_winner():
     gains = np.array([[1.0 + 0j, 1.0 + 0j, 3j]])
     stage = Stage(
         np.array([[True, False, False]]), np.array([[1.5 + 0j]]), np.array([2.0]),
-        np.array([4]), np.array([-1]),
+        np.array([4]), np.array([-1]), 1,
     )
-    nxt = stage_expand(stage, gains, 8)
+    nxt = stage_expand(stage, Walk(gains, 8))
     assert nxt.masks.tolist() == [[True, False, True]]
     assert nxt.signals.tolist() == [[1 + 3j]]
     assert nxt.metrics.tolist() == [5.0]
@@ -259,36 +262,37 @@ class TestVssSelect:
 
 class TestStageExpand:
     def test_empty_improvement_round(self):
-        B = np.array([[1.0 + 0j, -1.0 + 0j]])
-        stage1 = stage_expand(root_stage(2, 1, 4), B, 4)
+        walk = Walk(np.array([[1.0 + 0j, -1.0 + 0j]]), 4)
+        stage1 = stage_expand(root_stage(2, 1, 4), walk)
         assert len(stage1) == 2  # phases 0 and pi land in different bins
-        assert len(stage_expand(stage1, B, 4)) == 0
+        assert len(stage_expand(stage1, walk)) == 0
 
     def test_single_improving_extension(self):
-        B = np.array([[1.0 + 0j, 1.0 + 0j]])
-        stage1 = stage_expand(root_stage(2, 1, 4), B, 4)
+        walk = Walk(np.array([[1.0 + 0j, 1.0 + 0j]]), 4)
+        stage1 = stage_expand(root_stage(2, 1, 4), walk)
         # the two singletons tie and share a bucket; the incumbent (antenna 0) stays
         assert len(stage1) == 1
         assert stage1.masks.tolist() == [[True, False]]
-        stage2 = stage_expand(stage1, B, 4)
+        stage2 = stage_expand(stage1, walk)
         assert len(stage2) == 1
         assert stage2.masks.tolist() == [[True, True]]
         assert stage2.metrics.tolist() == [2.0]
         assert stage2.parents.tolist() == [0]
 
     def test_rejects_empty_table(self):
-        B = np.array([[1.0 + 0j, -1.0 + 0j]])
-        terminal = stage_expand(stage_expand(root_stage(2, 1, 4), B, 4), B, 4)
+        walk = Walk(np.array([[1.0 + 0j, -1.0 + 0j]]), 4)
+        terminal = stage_expand(stage_expand(root_stage(2, 1, 4), walk), walk)
         with pytest.raises(ValueError):
-            stage_expand(terminal, B, 4)
+            stage_expand(terminal, walk)
 
     def test_matches_naive_reenumeration(self):
         cfg = SystemConfig(n_antennas=12, n_users=2)
         B = build_channel_matrix(cfg, sample_users(555, cfg))
         n_bins = 4
         stage = root_stage(12, 2, n_bins)
+        walk = Walk(B.gains, n_bins)
         for _ in range(12):
-            expanded = stage_expand(stage, B.gains, n_bins)
+            expanded = stage_expand(stage, walk)
             oracle = self._naive_expand(stage, B.gains, n_bins)
             assert expanded.buckets.tolist() == sorted(oracle)
             for bucket, mask, metric in zip(
@@ -330,15 +334,17 @@ class TestTrellisInvariants:
             n_bins = int(rng.choice([1, 2, 4, 8]))
             gains = _random_gains(int(rng.integers(0, 2**31)), n_users, n_antennas)
             stage = root_stage(n_antennas, n_users, n_bins)
+            walk = Walk(gains, n_bins)
             while len(stage):
-                nxt = stage_expand(stage, gains, n_bins)
+                nxt = stage_expand(stage, walk)
                 assert stage_problems(stage, nxt, gains, n_bins) == []
                 stage = nxt
 
     def test_nudged_stored_signal_is_reported(self):
         gains = _random_gains(5, 2, 8)
-        stage = stage_expand(root_stage(8, 2, 4), gains, 4)
-        nxt = stage_expand(stage, gains, 4)
+        walk = Walk(gains, 4)
+        stage = stage_expand(root_stage(8, 2, 4), walk)
+        nxt = stage_expand(stage, walk)
         assert stage_problems(stage, nxt, gains, 4) == []
         # a relative 1e-6 on one stored signal; its metric and bucket stay
         signals = nxt.signals.copy()
@@ -597,6 +603,9 @@ def _lattice_instances(count, seed):
 # kernel carried the screened buckets into the canonical rebuild
 CONV_LARGE_DIGEST = "25b65dc6eeed54fd44062028dff9d1388b7310a04b4c9f3e437eb3c51c56e9c2"
 LATTICE_DIGEST = "1d42fe4575fd3121b681cfb886d1be1bccb4156dfb1c1d3fdbb88515eb6e8db6"
+# recorded from the trellis before its per-stage constants were hoisted into
+# the walk
+RATE_SWEEP_DIGEST = "7cbb25216f99e2522b904398fe168b5a5e4a5b027e7f5b92fe801f31db72a741"
 
 
 def test_conv_large_fingerprints():
@@ -608,6 +617,17 @@ def test_conv_large_fingerprints():
             B = build_channel_matrix(cfg, sample_users(derive_seed(7, n_antennas, t), cfg))
             results.append(vss_select(B, 4))
     assert _fingerprint_digest(results) == CONV_LARGE_DIGEST
+
+
+def test_rate_sweep_fingerprints():
+    # the benchmark's rate-sweep shapes: N in 5..50:5, M=1, Q=4
+    results = []
+    for n_antennas in range(5, 51, 5):
+        cfg = SystemConfig(n_antennas=n_antennas, n_users=1)
+        for t in range(4):
+            B = build_channel_matrix(cfg, sample_users(derive_seed(7, n_antennas, t), cfg))
+            results.append(vss_select(B, 4))
+    assert _fingerprint_digest(results) == RATE_SWEEP_DIGEST
 
 
 def test_lattice_fingerprints():
@@ -625,20 +645,21 @@ class TestCanonicalBucketFallback:
         # every stage_expand bins twice: screening, then the canonical rebuild
         real, calls = vss.bucket_codes, []
 
-        def patched(signals, n_bins):
+        def patched(signals, n_bins, weights):
             calls.append(None)
-            codes = real(signals, n_bins)
+            codes = real(signals, n_bins, weights)
             return merge(codes) if len(calls) % 2 == 0 else codes
 
         monkeypatch.setattr(vss, "bucket_codes", patched)
 
     def test_merged_bucket_keeps_its_best_row(self, monkeypatch):
         gains = _random_gains(21, 2, 9)
-        stage = stage_expand(root_stage(9, 2, 4), gains, 4)
-        plain = stage_expand(stage, gains, 4)
+        walk = Walk(gains, 4)
+        stage = stage_expand(root_stage(9, 2, 4), walk)
+        plain = stage_expand(stage, walk)
         assert len(plain) > 4
         self._merge_canonical(monkeypatch, lambda codes: codes // 3)
-        merged = stage_expand(stage, gains, 4)
+        merged = stage_expand(stage, walk)
         groups = plain.buckets // 3
         want = [
             int(np.flatnonzero(groups == g)[np.argmax(plain.metrics[groups == g])])
@@ -658,7 +679,7 @@ class TestCanonicalBucketFallback:
         gains = np.array([[1.0 + 0j, second]])
         root = root_stage(2, 1, 4)
         self._merge_canonical(monkeypatch, lambda codes: np.zeros_like(codes))
-        stage = stage_expand(root, gains, 4)
+        stage = stage_expand(root, Walk(gains, 4))
         assert stage.masks.tolist() == [[kept == 0, kept == 1]]
         assert stage.metrics.tolist() == [abs(gains[0, kept]) ** 2]
         assert stage.buckets.tolist() == [0]
