@@ -221,19 +221,17 @@ def greedy_pgga_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     gains = as_gains(B)
     n_antennas = gains.shape[1]
 
-    start = best_singleton(B)  # a ChannelMatrix is not validated again
-    mask = np.array(start.activation.mask, dtype=bool)
-    metric = start.metric
-    evaluations = start.evaluations
+    metrics = worst_user_metric(gains.T, 1)  # best_singleton's start
+    first = metrics.argmax()
+    mask = np.zeros(n_antennas, dtype=bool)
+    mask[first] = True
+    metric, evaluations = float(metrics[first]), n_antennas
     z = np.add.reduce(gains[:, mask], axis=1)
 
     for count in range(2, n_antennas + 1):
         mag = np.abs(z)
-        if all(mag.tolist()):
-            directions = z / mag
-        else:  # a zero signal has no direction; it takes phase 0
-            safe = np.where(mag > 0.0, mag, 1.0)
-            directions = np.where(mag > 0.0, z / safe, 1.0 + 0j)
+        # a zero signal has no direction; it takes phase 0
+        directions = np.divide(z, mag, out=np.ones_like(z), where=mag > 0.0)
         scores = np.minimum.reduce((np.conj(directions)[:, None] * gains).real, axis=0)
         scores[mask] = -math.inf
         best = scores.argmax()

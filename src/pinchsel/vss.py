@@ -128,18 +128,15 @@ class Stage:
 class Walk:
     """What every stage of one trellis walk shares, computed once per walk:
     the validated (M, N) gains of ``as_gains``, their columns shaped to
-    broadcast against a stage's signals, and the bucket digit weights.
-    ``index`` holds the row numbers of the mask write; ``stage_expand`` grows
-    it when a stage has more winners than any before."""
+    broadcast against a stage's signals, and the bucket digit weights."""
 
-    __slots__ = ("gains", "n_bins", "columns", "weights", "index")
+    __slots__ = ("gains", "n_bins", "columns", "weights")
 
     def __init__(self, gains: np.ndarray, n_bins: int) -> None:
         self.gains = gains
         self.n_bins = n_bins
         self.columns = gains.T[:, None, :]  # (antenna, 1, user)
         self.weights = digit_weights(n_bins, gains.shape[0])
-        self.index = np.arange(0)
 
 
 @dataclass(frozen=True)
@@ -169,10 +166,8 @@ def _best_per_bucket(buckets: np.ndarray, metrics: np.ndarray) -> np.ndarray:
 
 def root_stage(n_antennas: int, n_users: int, n_bins: int) -> Stage:
     """Stage 0: the empty activation as a pure phase reference."""
-    digit = quantize_phase(0.0, n_bins)  # a zero signal counts as phase 0
-    code = 0
-    for _ in range(n_users):
-        code = code * n_bins + digit
+    # a zero signal counts as phase 0 for every user
+    code = quantize_phase(0.0, n_bins) * int(digit_weights(n_bins, n_users).sum())
     return Stage(
         masks=np.zeros((1, n_antennas), dtype=bool),
         signals=np.zeros((1, n_users), dtype=complex),
@@ -209,9 +204,7 @@ def stage_expand(stage: Stage, walk: Walk) -> Stage:
     antenna, row, screened = antenna[win], row[win], screened[win]
 
     masks = stage.masks[row]
-    if len(walk.index) < len(row):
-        walk.index = np.arange(len(row))
-    masks[walk.index[: len(row)], antenna] = True
+    masks[np.arange(len(row)), antenna] = True
     signals = mask_signals(walk.gains, masks, active)
     metrics = worst_user_metric(signals, active)
     keep = metrics > stage.metrics[row]  # re-check the gate on the canonical value
@@ -260,8 +253,8 @@ def vss_select(B: "ChannelMatrix | np.ndarray", n_bins: int) -> SolverResult:
         survivors_per_stage.append(len(metrics))
     if best_mask is None:
         raise ValueError(
-            "no single-antenna activation has positive worst-user power; "
-            "the gain matrix violates the nonzero-entry contract"
+            "no single-antenna activation has positive worst-user power, so "
+            "the strict improvement gate admits no first stage"
         )
     trace = VssTrace(tuple(running_best), evaluations, tuple(survivors_per_stage))
     activation = ActivationVector(tuple(best_mask.tolist()))

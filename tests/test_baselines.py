@@ -1,5 +1,6 @@
 """Exhaustive-oracle and greedy-baseline tests."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -33,18 +34,44 @@ def _tie_key(metric, activation):
     return (-metric, activation.active_count, activation.mask)
 
 
-def _brute_force_naive(gains):
-    """Reference oracle: rescore every subset from scratch with
-    ``maxmin_metric``, same tie rule."""
+def _per_mask_scan(gains):
+    """``maxmin_metric`` of every non-empty mask, keyed by the mask as an
+    integer (bit j = antenna j): the scan ``_brute_force_naive`` is pinned
+    to."""
     n_antennas = gains.shape[1]
-    best = None
-    for mask in range(1, 1 << n_antennas):
-        activation = _mask_to_activation(mask, n_antennas)
-        metric = maxmin_metric(gains, activation.mask)
-        key = _tie_key(metric, activation)
-        if best is None or key < best[0]:
-            best = (key, metric, activation)
-    return SolverResult(best[2], best[1], (1 << n_antennas) - 1)
+    return {
+        mask: maxmin_metric(gains, _mask_to_activation(mask, n_antennas).mask)
+        for mask in range(1, 1 << n_antennas)
+    }
+
+
+def _naive_scores(gains):
+    """Every non-empty subset's metric, one active count at a time: yields
+    (count, index rows, metrics) with one ``itertools.combinations`` row per
+    subset. The gather is summed along its last axis, the reduction
+    ``maxmin_metric`` makes row by row, and the worst user's
+    re*re + im*im over the count follows, so each metric is scored from
+    scratch, with no split table and no ``mask_signals``."""
+    n_antennas = gains.shape[1]
+    for count in range(1, n_antennas + 1):
+        rows = np.array(list(itertools.combinations(range(n_antennas), count)))
+        z = np.add.reduce(gains[:, rows], axis=2)
+        yield count, rows, (z.real * z.real + z.imag * z.imag).min(axis=0) / count
+
+
+def _brute_force_naive(gains):
+    """Reference oracle: score every subset from scratch with
+    ``_naive_scores``; same ``(-metric, count, mask)`` tie key."""
+    n_antennas = gains.shape[1]
+    keys = []
+    for count, rows, metrics in _naive_scores(gains):
+        metric = metrics.max()
+        tied = rows[metrics == metric]
+        masks = np.zeros((len(tied), n_antennas), dtype=int)
+        np.put_along_axis(masks, tied, 1, axis=1)
+        keys.append((-float(metric), count, min(map(tuple, masks.tolist()))))
+    neg_metric, _, mask = min(keys)
+    return SolverResult(ActivationVector(mask), -neg_metric, (1 << n_antennas) - 1)
 
 
 def _random_gains(seed, n_users, n_antennas):
@@ -52,6 +79,60 @@ def _random_gains(seed, n_users, n_antennas):
     return rng.standard_normal((n_users, n_antennas)) + 1j * rng.standard_normal(
         (n_users, n_antennas)
     )
+
+
+# (M, base columns, seed) of N=14 lattice instances: exact optima tied at 8, 9
+# and 5 antennas in screening rows 1 and 2, where the fewest antennas win over
+# the smallest mask; at 9 and 5 antennas in rows 1, 2 and 3; at 4 and 8
+# antennas in rows 0, 1 and 2, where the smallest mask wins across rows
+TIE_LATTICES = [(2, 4, 131), (3, 6, 230), (3, 4, 6)]
+
+
+def _tie_lattice(n_users, n_base, seed):
+    """N=14 repeats of a few lattice columns: every partial sum is exact."""
+    rng = np.random.default_rng([14, n_users, n_base, seed])
+    levels = np.array([-1.0, 1.0])
+    shape = (n_users, n_base)
+    base = levels[rng.integers(0, 2, shape)] + 1j * levels[rng.integers(0, 2, shape)]
+    return base[:, rng.integers(0, n_base, 14)]
+
+
+class TestNaiveReference:
+    """``_brute_force_naive`` pinned to the per-mask ``maxmin_metric`` scan:
+    every mask's metric, bit for bit, and the answer."""
+
+    @staticmethod
+    def _assert_pinned(B):
+        n_antennas = B.shape[1]
+        scores = {}
+        for _, rows, metrics in _naive_scores(B):
+            for row, metric in zip(rows.tolist(), metrics.tolist()):
+                scores[sum(1 << j for j in row)] = metric.hex()
+        scan = _per_mask_scan(B)
+        assert scores == {mask: metric.hex() for mask, metric in scan.items()}
+        activations = {mask: _mask_to_activation(mask, n_antennas) for mask in scan}
+        best = min(scan, key=lambda mask: _tie_key(scan[mask], activations[mask]))
+        assert _brute_force_naive(B) == SolverResult(activations[best], scan[best], len(scan))
+
+    @pytest.mark.parametrize("n_users", [1, 2, 3])
+    @pytest.mark.parametrize("n_antennas", range(1, 11))
+    def test_every_mask_at_small_n(self, n_antennas, n_users):
+        self._assert_pinned(_random_gains(900 * n_antennas + n_users, n_users, n_antennas))
+
+    @pytest.mark.parametrize("n_users,n_base,seed", TIE_LATTICES)
+    def test_every_mask_on_the_tie_lattices(self, n_users, n_base, seed):
+        self._assert_pinned(_tie_lattice(n_users, n_base, seed))
+
+    @pytest.mark.parametrize(
+        "B",
+        [
+            np.array([[1.0 + 0j, -1.0 + 0j, 1.0 + 0j]]),
+            np.vstack([np.eye(13), [1.0, -1.0] + [0.0] * 11]).astype(complex),
+        ],
+        ids=["gray-tie", "all-tied"],
+    )
+    def test_every_mask_on_exact_ties(self, B):
+        self._assert_pinned(B)
 
 
 # brute_force_select fingerprints recorded from the Gray-code walk the split
@@ -178,21 +259,9 @@ class TestBruteForce:
         assert _indices(res) == (15,)  # fewest antennas, smallest mask
         assert peak < _working_bytes(16, 17)
 
-    @pytest.mark.parametrize(
-        "n_users,n_base,seed",
-        # exact optima tied at 8, 9 and 5 antennas in screening rows 1 and 2,
-        # where the fewest antennas win over the smallest mask; at 9 and 5
-        # antennas in rows 1, 2 and 3; at 4 and 8 antennas in rows 0, 1 and 2,
-        # where the smallest mask wins across rows
-        [(2, 4, 131), (3, 6, 230), (3, 4, 6)],
-    )
+    @pytest.mark.parametrize("n_users,n_base,seed", TIE_LATTICES)
     def test_matches_naive_on_ties_across_rows_and_popcounts(self, n_users, n_base, seed):
-        # N=14 repeats of a few lattice columns: every partial sum is exact
-        rng = np.random.default_rng([14, n_users, n_base, seed])
-        levels = np.array([-1.0, 1.0])
-        shape = (n_users, n_base)
-        base = levels[rng.integers(0, 2, shape)] + 1j * levels[rng.integers(0, 2, shape)]
-        B = base[:, rng.integers(0, n_base, 14)]
+        B = _tie_lattice(n_users, n_base, seed)
         fast = brute_force_select(B)
         slow = _brute_force_naive(B)
         assert fast.metric == slow.metric

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchsel.baselines import best_singleton, brute_force_select
+from pinchsel.baselines import best_singleton, brute_force_select, greedy_pgga_select
 from pinchsel.channel import build_channel_matrix, sample_users
 from pinchsel.config import SystemConfig
 from pinchsel.harness import derive_seed
@@ -99,6 +99,12 @@ class TestStateOf:
 
     def test_zero_signal_convention(self):
         assert bucket_codes(np.array([[0j]]), 4).tolist() == [2]
+
+    @pytest.mark.parametrize("n_users", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n_bins", [1, 2, 3, 4, 8, 16])
+    def test_root_code_is_the_zero_signal_bucket(self, n_bins, n_users):
+        root = root_stage(4, n_users, n_bins)
+        assert root.buckets[0] == bucket_codes(np.zeros((1, n_users), complex), n_bins)[0]
 
 
 def _scalar_bucket_codes(signals, n_bins):
@@ -254,6 +260,16 @@ class TestVssSelect:
     def test_degenerate_all_zero_matrix(self):
         with pytest.raises(ValueError):
             vss_select(np.zeros((1, 3), dtype=complex), 4)
+
+    def test_no_positive_singleton_is_refused_by_name(self):
+        # a bare array may hold zeros: each singleton leaves one user at zero
+        # power, so the strict gate admits no first stage, while the pair
+        # scores 0.5; the oracle and the greedy baseline both find it
+        B = np.array([[1.0, 0.0], [0.0, 1.0]])
+        for res in (brute_force_select(B), greedy_pgga_select(B)):
+            assert (res.metric, res.activation.mask) == (0.5, (1, 1))
+        with pytest.raises(ValueError, match="the strict improvement gate admits no first stage"):
+            vss_select(B, 4)
 
     def test_deterministic(self):
         B = _random_gains(9, 2, 9)
