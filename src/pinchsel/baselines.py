@@ -20,7 +20,8 @@ directly comparable with the trellis solver's output. A user whose gains are
 all zero makes every mask score 0, and the tie key alone picks the answer
 without a search. It refuses arrays larger than ``BRUTE_FORCE_CAP`` (24)
 antennas before any work, with a message that states the subset count and the
-working-memory bound. The tests validate it against a naive rescorer that
+working-memory bound, and so too a user count whose working memory would
+exceed 256 MiB. The tests validate it against a naive rescorer that
 scores every subset from scratch.
 
 ``best_singleton`` scores every column at once with the shared kernel
@@ -50,6 +51,7 @@ from .metric import (
     metric_from_accumulated,
     worst_user_metric,
 )
+from .vss import MAX_BLOCK_ENTRIES
 
 BRUTE_FORCE_CAP = 24
 
@@ -83,7 +85,9 @@ def _working_bytes(n_antennas: int, n_users: int) -> int:
 
 def check_brute_force_size(n_antennas: int, n_users: int) -> None:
     """Raise ``ValueError`` when exhaustive search over ``n_antennas`` would
-    exceed ``BRUTE_FORCE_CAP``; the message states the bounded work."""
+    exceed ``BRUTE_FORCE_CAP``, or its working memory for ``n_users`` the
+    trellis's block limit (``MAX_BLOCK_ENTRIES`` complex entries, 256 MiB);
+    the message states the bounded work."""
     if n_antennas > BRUTE_FORCE_CAP:
         mib = _working_bytes(BRUTE_FORCE_CAP, n_users) / 2**20
         raise ValueError(
@@ -91,6 +95,12 @@ def check_brute_force_size(n_antennas: int, n_users: int) -> None:
             f"{BRUTE_FORCE_CAP} antennas (2^{BRUTE_FORCE_CAP} = "
             f"{1 << BRUTE_FORCE_CAP:,} subsets, at most {mib:.2f} MiB of working "
             f"memory for M={n_users})"
+        )
+    bound = 16 * MAX_BLOCK_ENTRIES
+    if _working_bytes(n_antennas, n_users) > bound:
+        raise ValueError(
+            f"refusing exhaustive search for M={n_users} users at N={n_antennas}: "
+            f"its working memory exceeds the bound of {bound // 2**20} MiB"
         )
 
 

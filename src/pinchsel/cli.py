@@ -29,9 +29,7 @@ from .config import SystemConfig, dbm_to_watts, watts_to_dbm
 from .harness import SOLVERS, ExperimentSpec, run_convergence, run_sweep
 from .metric import InvariantError
 from .verify import run_checks
-
-# Short CLI names for solvers; canonical ``SOLVERS`` names are accepted too.
-_SHORT_NAMES = {"brute": "brute_force", "singleton": "best_singleton"}
+from .vss import MAX_BLOCK_ENTRIES
 
 
 def parse_n_values(text: str) -> tuple[int, ...]:
@@ -56,19 +54,25 @@ def parse_n_values(text: str) -> tuple[int, ...]:
             raise ValueError(f"bad antenna-count token {token!r} in {text!r}") from None
         if step < 1 or hi < lo:
             raise ValueError(f"bad antenna-count range {token!r}")
+        if lo < 1:
+            raise ValueError(f"antenna counts must be positive integers, got {text!r}")
+        if hi > MAX_BLOCK_ENTRIES:  # checked before the list is built
+            raise ValueError(
+                f"antenna-count token {token!r} exceeds the limit of {MAX_BLOCK_ENTRIES} antennas"
+            )
         values.extend(range(lo, hi + 1, step))
-    if not values or any(v < 1 for v in values):
-        raise ValueError(f"antenna counts must be positive integers, got {text!r}")
     return tuple(dict.fromkeys(values))
 
 
 def parse_solvers(text: str) -> tuple[str, ...]:
+    """Parse ``--solvers``: each row's ``cli_name`` or its canonical name."""
+    by_cli_name = {row.cli_name: name for name, row in SOLVERS.items()}
     names = []
     for token in text.split(","):
         token = token.strip().lower()
-        canonical = _SHORT_NAMES.get(token, token)
+        canonical = by_cli_name.get(token, token)
         if canonical not in SOLVERS:
-            choices = sorted({*SOLVERS, *_SHORT_NAMES})
+            choices = sorted({*SOLVERS, *by_cli_name})
             raise ValueError(f"unknown solver {token!r}; choose from {choices}")
         if canonical not in names:
             names.append(canonical)
@@ -133,7 +137,10 @@ _OPTIONS: dict[str, _Option] = {
     "users": _physical(int, "n_users", "number of ground users"),
     "trials": _Option(int, 150, "Monte Carlo trials per point"),
     "seed": _Option(int, 7, "master seed"),
-    "solvers": _Option(parse_solvers, ("vss",), "comma list: vss, brute, pgga, singleton"),
+    "solvers": _Option(
+        parse_solvers, ("vss",),
+        "comma list: " + ", ".join(row.cli_name for row in SOLVERS.values()),
+    ),
     "q_bins": _physical(int, "phase_bins", "phase bins per user"),
     "power_dbm": _physical(float, "tx_power", "transmit power", *_DBM),
     "noise_dbm": _physical(float, "noise_power", "noise power", *_DBM),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .baselines import (
     best_singleton,
@@ -22,16 +22,37 @@ from .baselines import (
 from .channel import ChannelMatrix, build_channel_matrix, sample_users
 from .config import SystemConfig
 from .metric import InvariantError, SolverResult, rate_from_metric
-from .vss import check_block_size, vss_select
+from .vss import MAX_BLOCK_ENTRIES, check_block_size, vss_select
 
-# Every solver by canonical name. Each entry resolves its function through
+
+class Solver(NamedTuple):
+    """One solver's row. On one channel a lower ``rank`` never beats a higher
+    one: every metric is the canonical maxmin_metric, the oracle is exhaustive,
+    and the trellis and greedy (from the best singleton) accept only strict
+    improvements. ``refuse(config)`` raises ``ValueError`` at a size the
+    solver cannot run; it is applied at the largest N before any trial."""
+
+    run: Callable[[ChannelMatrix], SolverResult]
+    rank: int
+    label: str
+    cli_name: str
+    refuse: Callable[[SystemConfig], None] = lambda config: None
+
+
+# Every solver by canonical name. Each ``run`` resolves its function through
 # this module's globals at call time, so rebinding e.g. ``harness.vss_select``
 # (tracing, fault injection) reaches the trials.
-SOLVERS: dict[str, Callable[[ChannelMatrix], SolverResult]] = {
-    "vss": lambda B: vss_select(B, B.config_snapshot.phase_bins),
-    "brute_force": lambda B: brute_force_select(B),
-    "pgga": lambda B: greedy_pgga_select(B),
-    "best_singleton": lambda B: best_singleton(B),
+SOLVERS: dict[str, Solver] = {
+    "vss": Solver(
+        lambda B: vss_select(B, B.config_snapshot.phase_bins), 1, "trellis metric", "vss",
+        lambda c: check_block_size(c.n_antennas, c.phase_bins, c.n_users),
+    ),
+    "brute_force": Solver(
+        lambda B: brute_force_select(B), 2, "exhaustive optimum", "brute",
+        lambda c: check_brute_force_size(c.n_antennas, c.n_users),
+    ),
+    "pgga": Solver(lambda B: greedy_pgga_select(B), 1, "greedy metric", "pgga"),
+    "best_singleton": Solver(lambda B: best_singleton(B), 0, "singleton metric", "singleton"),
 }
 
 _MASK64 = (1 << 64) - 1
@@ -71,11 +92,14 @@ class ExperimentSpec:
             raise ValueError(f"unknown solvers {unknown}; choose from {tuple(SOLVERS)}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
-        if "brute_force" in self.solvers:
-            check_brute_force_size(max(self.n_values), self.base_config.n_users)
-        if "vss" in self.solvers:
-            config = self.base_config
-            check_block_size(max(self.n_values), config.phase_bins, config.n_users)
+        largest = self.base_config.with_antennas(max(self.n_values))
+        if largest.n_users * largest.n_antennas > MAX_BLOCK_ENTRIES:
+            raise ValueError(
+                f"a channel of M={largest.n_users} users by N={largest.n_antennas} "
+                f"antennas exceeds the limit of {MAX_BLOCK_ENTRIES} entries"
+            )
+        for solver in self.solvers:
+            SOLVERS[solver].refuse(largest)
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "solvers", tuple(self.solvers))
 
@@ -106,27 +130,14 @@ def run_trial(
 ) -> dict[str, SolverResult]:
     """Run every solver once on one channel and check their orderings;
     return each solver's result by name."""
-    results = {solver: SOLVERS[solver](B) for solver in solvers}
+    results = {solver: SOLVERS[solver].run(B) for solver in solvers}
     check_invariants(config, results)
     return results
 
 
-# Exact orderings between solvers run on the same channel: a lower rank never
-# beats a higher one. Every metric is the canonical maxmin_metric, the oracle is
-# exhaustive, and the trellis and the greedy baseline (which starts from the
-# best singleton) accept only strict improvements.
-_RANKS = {"best_singleton": 0, "vss": 1, "pgga": 1, "brute_force": 2}
-_LABELS = {
-    "best_singleton": "singleton metric",
-    "vss": "trellis metric",
-    "pgga": "greedy metric",
-    "brute_force": "exhaustive optimum",
-}
-
-
 def check_invariants(config: SystemConfig, results: dict[str, SolverResult]) -> None:
     """Raise ``InvariantError`` when the trellis exceeds its Q^M N^2
-    evaluation bound or a solver breaks an ordering of ``_RANKS``."""
+    evaluation bound or a solver breaks its row's ``rank`` ordering."""
     vss = results.get("vss")
     if vss:
         bound = (config.phase_bins**config.n_users) * config.n_antennas**2
@@ -136,8 +147,9 @@ def check_invariants(config: SystemConfig, results: dict[str, SolverResult]) -> 
             )
     for low, high in itertools.permutations(results, 2):
         a, b = results[low].metric, results[high].metric
-        if _RANKS[low] < _RANKS[high] and a > b:
-            raise InvariantError(f"{_LABELS[low]} {a} exceeds {_LABELS[high]} {b}")
+        lo, hi = SOLVERS[low], SOLVERS[high]
+        if lo.rank < hi.rank and a > b:
+            raise InvariantError(f"{lo.label} {a} exceeds {hi.label} {b}")
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,9 @@ def check_quantizer_edges(quick: bool, seed: int) -> tuple[bool, str]:
 def _oracle_batch(
     n_antennas: int, n_users: int, n_trials: int, seed: int
 ) -> tuple[int, float, float]:
-    """Return (exact matches, mean rate gap, max relative gap) over a seeded
-    batch; ``run_trial`` raises if the trellis ever beats the oracle."""
+    """Return (exact matches: the same antenna selection, mean rate gap, max
+    relative gap) over a seeded batch; ``run_trial`` raises if the trellis
+    ever beats the oracle."""
     config = SystemConfig(n_antennas=n_antennas, n_users=n_users)
     matches = 0
     gap_sum = 0.0
@@ -95,8 +96,7 @@ def _oracle_batch(
     for B in trial_channels(config, seed, n_trials):
         results = run_trial(config, B, ("vss", "brute_force"))
         v, b = results["vss"], results["brute_force"]
-        if math.isclose(v.metric, b.metric, rel_tol=1e-9):
-            matches += 1
+        matches += v.activation == b.activation
         b_rate, v_rate = (rate_from_metric(config, r.metric) for r in (b, v))
         gap_sum += b_rate - v_rate
         if b.metric > 0:
@@ -177,7 +177,7 @@ def stage_problems(prev: Stage, nxt: Stage, gains: np.ndarray, n_bins: int) -> l
 
 
 def check_trellis_invariants(quick: bool, seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed % 2**64)  # any int seed, as sample_users takes it
     instances = 30 if quick else 500
     problems: list[str] = []
     for _ in range(instances):

@@ -11,6 +11,7 @@ from pinchsel.baselines import (
     _working_bytes,
     best_singleton,
     brute_force_select,
+    check_brute_force_size,
     greedy_pgga_select,
 )
 from pinchsel.channel import build_channel_matrix, sample_users
@@ -199,6 +200,26 @@ class TestBruteForce:
         base = SystemConfig(n_users=2)
         with pytest.raises(ValueError) as spec:
             ExperimentSpec(base, (10, 25), ("brute_force",), n_trials=1, seed=0)
+        assert str(spec.value) == str(solver.value)
+
+    @pytest.mark.parametrize("n_antennas,most_users", [(20, 962), (24, 510), (1, 1398015)])
+    def test_user_count_bound(self, n_antennas, most_users):
+        # the working memory may reach MAX_BLOCK_ENTRIES complex entries
+        assert _working_bytes(n_antennas, most_users) <= 2**28
+        assert _working_bytes(n_antennas, most_users + 1) > 2**28
+        check_brute_force_size(n_antennas, most_users)
+        refusal = rf"M={most_users + 1} users at N={n_antennas}: .* bound of 256 MiB"
+        with pytest.raises(ValueError, match=refusal):
+            check_brute_force_size(n_antennas, most_users + 1)
+
+    def test_solver_and_spec_refuse_too_many_users(self):
+        # both refuse before any table: at 963 users the two split tables
+        # alone would take 63 MB
+        with pytest.raises(ValueError) as solver:
+            brute_force_select(np.ones((963, 20), dtype=complex))
+        with pytest.raises(ValueError) as spec:
+            ExperimentSpec(SystemConfig(n_users=963), (5, 20), ("brute_force",), 1, 0)
+        assert "M=963 users at N=20" in str(solver.value)
         assert str(spec.value) == str(solver.value)
 
     def test_working_memory_stays_below_a_full_table(self):

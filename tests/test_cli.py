@@ -17,7 +17,7 @@ from pinchsel.cli import (
 )
 from pinchsel.config import SystemConfig, dbm_to_watts, watts_to_dbm
 from pinchsel.harness import ExperimentSpec, run_sweep
-from pinchsel.metric import InvariantError
+from pinchsel.metric import ActivationVector, InvariantError
 
 
 def read_sweep_summary(path):
@@ -697,6 +697,49 @@ def test_bad_verify_seed_is_one_line(capsys):
     assert captured.out == ""
 
 
+def test_negative_verify_seed_runs_every_check(capsys):
+    # any integer seed, as sweep takes it; at -1 the quick single-user match
+    # reads 0.900, so the battery may fail, but it runs all five checks
+    rc = main(["verify", "--quick", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc in (0, 2)
+    assert captured.err == ""
+    assert len([line for line in captured.out.splitlines() if line.startswith("[")]) == 5
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (
+            ["--n", "20", "--users", "963", "--solvers", "brute"],
+            "refusing exhaustive search for M=963 users at N=20: "
+            "its working memory exceeds the bound of 256 MiB",
+        ),
+        (
+            ["--n", "100", "--users", str(10**18), "--solvers", "singleton"],
+            f"a channel of M={10**18} users by N=100 antennas exceeds the limit "
+            f"of {2**24} entries",
+        ),
+        (
+            ["--n", "5,1..10000000000000000", "--solvers", "pgga"],
+            "antenna-count token '1..10000000000000000' exceeds the limit of "
+            f"{2**24} antennas",
+        ),
+    ],
+)
+def test_oversized_run_is_one_line_before_any_channel(
+    args, message, tmp_path, monkeypatch, capsys
+):
+    def no_channel(*_):
+        raise AssertionError("a channel was built")
+
+    monkeypatch.setattr(harness, "build_channel_matrix", no_channel)
+    out = tmp_path / "out"
+    assert main(["sweep", *args, "--trials", "1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -864,6 +907,19 @@ class TestVerifyCommand:
         )
         with pytest.raises(InvariantError, match="exceed the Q\\^M N\\^2 bound"):
             verify.check_trellis_invariants(quick=True, seed=7)
+
+    def test_oracle_match_is_the_same_selection(self, monkeypatch):
+        # an equal metric with another mask is not a match
+        real = harness.brute_force_select
+
+        def relabelled(B):
+            res = real(B)
+            mask = res.activation.mask
+            return dataclasses.replace(res, activation=ActivationVector(mask[1:] + mask[:1]))
+
+        monkeypatch.setattr(harness, "brute_force_select", relabelled)
+        passed, detail = verify.check_oracle_multi_user(quick=True, seed=7)
+        assert "exact matches 0/20" in detail
 
     def test_invariant_breach_fails_its_check_and_battery_goes_on(
         self, monkeypatch, capsys

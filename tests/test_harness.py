@@ -217,6 +217,26 @@ def test_experiment_spec_validation():
     ExperimentSpec(base, n_values=(12,), solvers=("brute_force",), n_trials=1, seed=0)
 
 
+@pytest.mark.parametrize("solvers", [("pgga",), ("best_singleton",), ("vss", "pgga")])
+def test_experiment_spec_bounds_every_channel(solvers):
+    # M x N gains at the largest N, whatever the solvers; 2^24 is the limit
+    base = SystemConfig(n_users=100)
+    ExperimentSpec(base, (5, 2**24 // 100), ("pgga",), n_trials=1, seed=0)
+    message = f"M=100 users by N=10000000 antennas exceeds the limit of {2**24} entries"
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(base, (10**7, 5), solvers, n_trials=1, seed=0)
+
+
+def test_experiment_spec_refuses_in_the_requested_order():
+    # N=30 is past both the oracle's cap and, at M=6 and Q=8, the trellis block
+    base = SystemConfig(n_users=6, phase_bins=8)
+    for solvers, named in (
+        (("vss", "brute_force"), "trellis"), (("brute_force", "vss"), "exhaustive"),
+    ):
+        with pytest.raises(ValueError, match=named):
+            ExperimentSpec(base, (30,), solvers, n_trials=1, seed=0)
+
+
 @pytest.mark.parametrize(
     "n_values,solvers,message",
     [
