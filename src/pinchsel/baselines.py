@@ -237,11 +237,13 @@ def greedy_pgga_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     mask[first] = True
     metric, evaluations = float(metrics[first]), n_antennas
     z = np.add.reduce(gains[:, mask], axis=1)
+    ones = np.ones_like(z)
 
     for count in range(2, n_antennas + 1):
         mag = np.abs(z)
-        # a zero signal has no direction; it takes phase 0
-        directions = np.divide(z, mag, out=np.ones_like(z), where=mag > 0.0)
+        # a zero signal has no direction; it takes phase 0 (a fresh copy each
+        # round: a reused buffer would keep the last round's direction)
+        directions = np.divide(z, mag, out=ones.copy(), where=mag > 0.0)
         scores = np.minimum.reduce((np.conj(directions)[:, None] * gains).real, axis=0)
         scores[mask] = -math.inf
         best = scores.argmax()

@@ -15,12 +15,15 @@ survivor it extends, so metrics increase strictly along every path and the
 search stops at the first stage with no accepted candidate. The answer is the
 best survivor across all explored stages.
 
-Numerical note: accepted survivors have their accumulated signal and metric
-rebuilt in canonical (ascending antenna index) order at install time, by
-``metric.mask_signals``, so a stored metric is bit-identical to
-``maxmin_metric`` of its mask and cross-solver comparisons against the
-exhaustive oracle are drift-free. The incremental values are used only to
-screen candidates.
+Numerical note: from stage 3 on, accepted survivors have their accumulated
+signal and metric rebuilt in canonical (ascending antenna index) order at
+install time, by ``metric.mask_signals``, so a stored metric is bit-identical
+to ``maxmin_metric`` of its mask and cross-solver comparisons against the
+exhaustive oracle are drift-free; the incremental values are used only to
+screen candidates. At stages 1 and 2 they are canonical already: the root
+signal is +0.0, numpy's add reduction starts from +0.0, and a sum of one or
+two terms is the same in either order. A certified walk (``Walk``) keeps the
+screened buckets of a stage that screened no entry in the edge band.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .metric import ActivationVector, SolverResult, mask_signals, worst_user_met
 MAX_BLOCK_ENTRIES = 2**24
 
 # Half-width of the band around each bin edge that ``bucket_codes`` hands to
-# the scalar quantizer, as a fraction of a full turn.
+# the scalar quantizer, as a fraction of a full turn. It also sets how much
+# rounding a walk's certificate (``Walk``) allows.
 EDGE_TOL = 1e-6
 
 
@@ -90,6 +94,11 @@ def bucket_codes(
     ``digit_weights(n_bins, M)``, which a trellis walk computes once."""
     if weights is None:
         weights = digit_weights(n_bins, signals.shape[1])
+    return _binned(signals, n_bins, weights)[0]
+
+
+def _binned(signals: np.ndarray, n_bins: int, weights: np.ndarray) -> "tuple[np.ndarray, bool]":
+    """``bucket_codes``, and whether any entry fell in the edge band."""
     pos = np.arctan2(signals.imag, signals.real)
     pos *= n_bins / math.tau
     pos += n_bins / 2
@@ -107,7 +116,7 @@ def bucket_codes(
     digits = pos.astype(np.int64)
     if edge is not None:
         digits[rows, cols] = edge
-    return digits.dot(weights)
+    return digits.dot(weights), edge is not None
 
 
 @dataclass(eq=False, slots=True)
@@ -128,15 +137,35 @@ class Stage:
 class Walk:
     """What every stage of one trellis walk shares, computed once per walk:
     the validated (M, N) gains of ``as_gains``, their columns shaped to
-    broadcast against a stage's signals, and the bucket digit weights."""
+    broadcast against a stage's signals, the bucket digit weights, and
+    ``certified``, whether no summation order can move a screened bucket.
 
-    __slots__ = ("gains", "n_bins", "columns", "weights")
+    The certificate: a signal the strict gate admits at stage t descends from
+    a stage-1 survivor, so each user's |z| exceeds sqrt(t) * w, where w, the
+    smallest positive single-antenna worst-user modulus, is sqrt(p_min) up to
+    rounding (p_min the smallest positive such power). Two
+    summation orders of its t <= N columns differ by at most
+    2 sqrt(2) gamma t g_max (gamma = (N-1)u / (1 - (N-1)u), u = 2^-53, g_max
+    the largest |gain|), which turns its phase by at most ratio / 4 turns,
+    ratio = 2 sqrt(2) gamma sqrt(N) g_max / w. The walk is certified when
+    that is under half of ``EDGE_TOL``, the edge band's half-width, so a
+    screened entry outside the band keeps its bin in canonical order."""
+
+    __slots__ = ("gains", "n_bins", "columns", "weights", "certified")
 
     def __init__(self, gains: np.ndarray, n_bins: int) -> None:
         self.gains = gains
         self.n_bins = n_bins
         self.columns = gains.T[:, None, :]  # (antenna, 1, user)
         self.weights = digit_weights(n_bins, gains.shape[0])
+        n_antennas = gains.shape[1]
+        modulus = np.abs(gains)
+        # w; filter(None, ...) drops the zeros. No w certifies nothing.
+        w = min(filter(None, np.minimum.reduce(modulus).tolist()), default=0.0)
+        nu = (n_antennas - 1) * math.ulp(1.0) / 2  # (N - 1) u
+        g_max = float(np.maximum.reduce(modulus, axis=None))
+        ratio_w = 2 * math.sqrt(2 * n_antennas) * nu / (1 - nu) * g_max  # ratio * w
+        self.certified = ratio_w < 2 * EDGE_TOL * w
 
 
 @dataclass(frozen=True)
@@ -180,7 +209,8 @@ def root_stage(n_antennas: int, n_users: int, n_bins: int) -> Stage:
 
 def stage_expand(stage: Stage, walk: Walk) -> Stage:
     """Expand one stage into the next: screen every (antenna, parent row)
-    extension at once, keep the best per bucket, rebuild the winners.
+    extension at once, keep the best per bucket, and from stage 3 on rebuild
+    the winners in canonical order.
 
     ``walk`` holds the gains, which are not checked again here, because
     ``vss_select`` calls this once per stage."""
@@ -199,18 +229,23 @@ def stage_expand(stage: Stage, walk: Walk) -> Stage:
             stage.masks[:0], stage.signals[:0], stage.metrics[:0], stage.buckets[:0], row,
             active,
         )
-    screened = bucket_codes(z[antenna, row], n_bins, weights)
-    win = _best_per_bucket(screened, cand[antenna, row])
+    signals, metrics = z[antenna, row], cand[antenna, row]
+    screened, banded = _binned(signals, n_bins, weights)
+    win = _best_per_bucket(screened, metrics)
     antenna, row, screened = antenna[win], row[win], screened[win]
 
     masks = stage.masks[row]
     masks[np.arange(len(row)), antenna] = True
+    if active <= 2:  # 0 + g, and g_a + g_b in either order: canonical bit for bit
+        return Stage(masks, signals[win], metrics[win], screened, row, active)
     signals = mask_signals(walk.gains, masks, active)
     metrics = worst_user_metric(signals, active)
     keep = metrics > stage.metrics[row]  # re-check the gate on the canonical value
     if not np.logical_and.reduce(keep):
         masks, signals, metrics = masks[keep], signals[keep], metrics[keep]
         row, screened = row[keep], screened[keep]
+    if walk.certified and not banded:  # the rebuild moved no entry out of its bin
+        return Stage(masks, signals, metrics, screened, row, active)
     buckets = bucket_codes(signals, n_bins, weights)
     if np.logical_and.reduce(buckets == screened):
         # one row per bucket in ascending order already: the selection below

@@ -13,7 +13,7 @@ from pinchsel.baselines import best_singleton, brute_force_select, greedy_pgga_s
 from pinchsel.channel import build_channel_matrix, sample_users
 from pinchsel.config import SystemConfig
 from pinchsel.harness import derive_seed
-from pinchsel.metric import accumulated_signal, metric_from_accumulated
+from pinchsel.metric import accumulated_signal, mask_signals, metric_from_accumulated
 from pinchsel import vss
 from pinchsel.verify import stage_problems
 from pinchsel.vss import (
@@ -188,18 +188,19 @@ def test_rebuild_matches_per_row_sum(active, n_users):
 
 
 def test_canonical_gate_drops_a_screened_winner():
-    # a stored signal above the canonical one lets two extensions through the
-    # screen; antenna 1's canonical metric only ties its parent's, so the
-    # strict gate re-checked on canonical values drops it and keeps antenna 2
-    gains = np.array([[1.0 + 0j, 1.0 + 0j, 3j]])
+    # a stored signal above the canonical one lets two extensions of a
+    # stage-2 parent through the screen; antenna 2's canonical metric only
+    # ties its parent's, so the strict gate re-checked on canonical values
+    # drops it and keeps antenna 3 (stages 1 and 2 install screened values)
+    gains = np.array([[0.5 + 0j, 0.5 + 0j, 1.0 + 0j, 3j]])
     stage = Stage(
-        np.array([[True, False, False]]), np.array([[1.5 + 0j]]), np.array([2.0]),
-        np.array([4]), np.array([-1]), 1,
+        np.array([[True, True, False, False]]), np.array([[1.5 + 0j]]),
+        np.array([4.0 / 3]), np.array([4]), np.array([-1]), 2,
     )
     nxt = stage_expand(stage, Walk(gains, 8))
-    assert nxt.masks.tolist() == [[True, False, True]]
+    assert nxt.masks.tolist() == [[True, True, False, True]]
     assert nxt.signals.tolist() == [[1 + 3j]]
-    assert nxt.metrics.tolist() == [5.0]
+    assert nxt.metrics.tolist() == [10.0 / 3]
     assert nxt.buckets.tolist() == [5]
     assert nxt.parents.tolist() == [0]
 
@@ -654,24 +655,25 @@ def test_lattice_fingerprints():
 class TestCanonicalBucketFallback:
     """stage_expand's second per-bucket selection, for when a canonical
     bucket differs from the screened one (the benchmark channels never take
-    it)."""
+    it). It runs from stage 3 on, in an uncertified walk or after a screened
+    entry fell in the edge band."""
 
     @staticmethod
     def _merge_canonical(monkeypatch, merge):
-        # every stage_expand bins twice: screening, then the canonical rebuild
-        real, calls = vss.bucket_codes, []
+        # stage_expand screens through vss._binned and bins the canonical
+        # rebuild through vss.bucket_codes
+        real = vss.bucket_codes
 
         def patched(signals, n_bins, weights):
-            calls.append(None)
-            codes = real(signals, n_bins, weights)
-            return merge(codes) if len(calls) % 2 == 0 else codes
+            return merge(real(signals, n_bins, weights))
 
         monkeypatch.setattr(vss, "bucket_codes", patched)
 
     def test_merged_bucket_keeps_its_best_row(self, monkeypatch):
         gains = _random_gains(21, 2, 9)
         walk = Walk(gains, 4)
-        stage = stage_expand(root_stage(9, 2, 4), walk)
+        walk.certified = False
+        stage = stage_expand(stage_expand(root_stage(9, 2, 4), walk), walk)
         plain = stage_expand(stage, walk)
         assert len(plain) > 4
         self._merge_canonical(monkeypatch, lambda codes: codes // 3)
@@ -690,12 +692,91 @@ class TestCanonicalBucketFallback:
 
     @pytest.mark.parametrize("second,kept", [(1j, 0), (2j, 1), (-1j, 1)])
     def test_tie_goes_to_the_earlier_row(self, second, kept, monkeypatch):
-        # winners reach the rebuild in ascending screened bucket: antenna 0
-        # (phase 0, bin 2) comes before 1j (bin 3) and after -1j (bin 1)
-        gains = np.array([[1.0 + 0j, second]])
-        root = root_stage(2, 1, 4)
+        # a stage-2 parent whose two antennas cancel exactly; winners reach
+        # the rebuild in ascending screened bucket: antenna 2 (phase 0, bin 2)
+        # comes before 1j (bin 3) and after -1j (bin 1)
+        gains = np.array([[1.0 + 0j, -1.0 + 0j, 1.0 + 0j, second]])
+        parent = Stage(
+            np.array([[True, True, False, False]]), np.zeros((1, 1), complex),
+            np.zeros(1), np.array([2]), np.array([-1]), 2,
+        )
+        walk = Walk(gains, 4)
+        walk.certified = False
         self._merge_canonical(monkeypatch, lambda codes: np.zeros_like(codes))
-        stage = stage_expand(root, Walk(gains, 4))
-        assert stage.masks.tolist() == [[kept == 0, kept == 1]]
-        assert stage.metrics.tolist() == [abs(gains[0, kept]) ** 2]
+        stage = stage_expand(parent, walk)
+        assert stage.masks.tolist() == [[True, True, kept == 0, kept == 1]]
+        assert stage.metrics.tolist() == [abs(gains[0, 2 + kept]) ** 2 / 3]
         assert stage.buckets.tolist() == [0]
+
+
+def _signed_zero_instances(count, seed):
+    """Seeded small instances whose gain components come from {+-0, +-1, +-2},
+    so sums meet signed zeros and exact cancellations."""
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
+    for _ in range(count):
+        n_users, n_antennas = int(rng.integers(1, 4)), int(rng.integers(2, 11))
+        gains = np.empty((n_users, n_antennas), complex)
+        gains.real = values[rng.integers(0, 6, (n_users, n_antennas))]
+        gains.imag = values[rng.integers(0, 6, (n_users, n_antennas))]
+        yield gains, int(rng.choice([1, 2, 3, 4, 8]))
+
+
+def _walk_stages(walk):
+    """Every stage after the root of a full walk, as vss_select takes them."""
+    n_users, n_antennas = walk.gains.shape
+    stage = stage_expand(root_stage(n_antennas, n_users, walk.n_bins), walk)
+    while len(stage):
+        yield stage
+        stage = stage_expand(stage, walk)
+
+
+class TestScreenedStages:
+    """Stages 1 and 2 install their screened values, and a certified walk
+    keeps its screened buckets while no screened entry is in the edge band."""
+
+    @pytest.mark.parametrize(
+        "instances",
+        [lambda: _lattice_instances(300, 15), lambda: _signed_zero_instances(200, 99)],
+        ids=["lattice", "signed-zero"],
+    )
+    def test_stored_signals_are_the_canonical_bytes(self, instances):
+        for gains, n_bins in instances():
+            for stage in _walk_stages(Walk(gains, n_bins)):
+                want = mask_signals(gains, stage.masks, stage.active)
+                assert stage.signals.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _canonical_binning_stages(monkeypatch, walk):
+        """The index of each stage whose rebuild went through bucket_codes."""
+        binned = []
+        monkeypatch.setattr(vss, "bucket_codes", lambda *a: binned.append(None) or bucket_codes(*a))
+        stages = []
+        for stage in _walk_stages(walk):
+            if binned:
+                stages.append(stage.active)
+            binned.clear()
+        return stages
+
+    def test_refused_walk_bins_canonically_from_stage_3(self, monkeypatch):
+        # unit-modulus gains spread over a quarter turn, so the walk goes deep
+        unit = np.exp(1j * np.linspace(0.1, 1.6, 7))[None, :]
+        walk = Walk(unit, 4)
+        assert walk.certified
+        assert self._canonical_binning_stages(monkeypatch, walk) == []
+        # one antenna whose worst-user power is 1e-300 voids the certificate
+        weak = Walk(np.hstack([unit, [[1e-150]]]), 4)
+        assert not weak.certified
+        stages = self._canonical_binning_stages(monkeypatch, weak)
+        assert len(stages) >= 3
+        assert stages == list(range(3, 3 + len(stages)))
+
+    def test_screened_entry_in_the_edge_band_bins_canonically(self, monkeypatch):
+        # a band a fifth of a turn wide catches a screened entry at every stage
+        monkeypatch.setattr(vss, "EDGE_TOL", 0.2)
+        gains = _random_gains(21, 2, 9)
+        walk = Walk(gains, 4)
+        assert walk.certified
+        stages = self._canonical_binning_stages(monkeypatch, walk)
+        assert len(stages) >= 3
+        assert stages == list(range(3, 3 + len(stages)))
