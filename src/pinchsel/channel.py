@@ -29,6 +29,9 @@ class ChannelMatrix:
 
     def __post_init__(self) -> None:
         g = as_gains(np.array(self.gains, dtype=np.complex128))
+        shape = (self.config_snapshot.n_users, self.config_snapshot.n_antennas)
+        if g.shape != shape:
+            raise ValueError(f"gains of shape {g.shape} do not match the config's (M, N) {shape}")
         if np.any(g == 0):
             raise ValueError("gains must be nonzero (users cannot sit on an antenna)")
         g.setflags(write=False)
@@ -109,8 +112,8 @@ def sample_users(seed: int, config: SystemConfig) -> np.ndarray:
 
 def as_gains(B: "ChannelMatrix | np.ndarray | Sequence") -> np.ndarray:
     """Accept a ChannelMatrix or a bare array of gains; return the (M, N)
-    array. A bare array must be non-empty, 2-D and finite; only a
-    ChannelMatrix also refuses zero entries."""
+    array. A bare array must be non-empty, 2-D and finite with no coherent
+    power overflow; only a ChannelMatrix also refuses zero entries."""
     if isinstance(B, ChannelMatrix):
         return B.gains
     g = np.asarray(B, dtype=np.complex128)
@@ -118,4 +121,8 @@ def as_gains(B: "ChannelMatrix | np.ndarray | Sequence") -> np.ndarray:
         raise ValueError(f"gains must be a non-empty 2-D array, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("gains must be finite")
+    # (N max|g|)^2 bounds every coherent power, as in build_channel_matrix
+    n, modulus = g.shape[1], float(np.abs(g).max())
+    if not 2.0 * (n * modulus) * (n * modulus) < math.inf:  # 2x headroom for rounding
+        raise ValueError(f"gains of modulus up to {modulus:g} at N={n} overflow a coherent power")
     return g

@@ -125,14 +125,17 @@ def trial_channels(config: SystemConfig, seed: int, n_trials: int) -> Iterator[C
         yield from build_channel_matrix(config, users)
 
 
-def run_trial(
-    config: SystemConfig, B: ChannelMatrix, solvers: tuple[str, ...]
-) -> dict[str, SolverResult]:
-    """Run every solver once on one channel and check their orderings;
-    return each solver's result by name."""
+def run_trial(B: ChannelMatrix, solvers: tuple[str, ...]) -> dict[str, SolverResult]:
+    """Run every solver once on one channel and check their orderings at the
+    channel's config; return each solver's result by name."""
     results = {solver: SOLVERS[solver].run(B) for solver in solvers}
-    check_invariants(config, results)
+    check_invariants(B.config_snapshot, results)
     return results
+
+
+def evaluation_bound(config: SystemConfig) -> int:
+    """The trellis's Q^M N^2 bound on candidate evaluations at ``config``."""
+    return config.phase_bins**config.n_users * config.n_antennas**2
 
 
 def check_invariants(config: SystemConfig, results: dict[str, SolverResult]) -> None:
@@ -140,7 +143,7 @@ def check_invariants(config: SystemConfig, results: dict[str, SolverResult]) -> 
     evaluation bound or a solver breaks its row's ``rank`` ordering."""
     vss = results.get("vss")
     if vss:
-        bound = (config.phase_bins**config.n_users) * config.n_antennas**2
+        bound = evaluation_bound(config)
         if vss.evaluations > bound:
             raise InvariantError(
                 f"trellis evaluations {vss.evaluations} exceed the Q^M N^2 bound {bound}"
@@ -157,7 +160,6 @@ class SolverAggregate:
     mean_min_rate: float
     mean_evaluations: float
     mean_active_count: float
-    mean_termination_stage: float | None = None
     stage_rates: tuple[float, ...] | None = None
 
 
@@ -182,27 +184,23 @@ def run_sweep(spec: ExperimentSpec) -> dict[tuple[int, str], SolverAggregate]:
     for n in spec.n_values:
         config = spec.base_config.with_antennas(n)
         records = [
-            run_trial(config, B, spec.solvers)
+            run_trial(B, spec.solvers)
             for B in trial_channels(config, spec.seed, spec.n_trials)
         ]
         for solver in spec.solvers:
             trials = [r[solver] for r in records]
             rates = [rate_from_metric(config, t.metric) for t in trials]
             k = len(trials)
-            term = None
             curve = None
             if trials[0].trace is not None:
-                traces = [t.trace for t in trials]
-                term = sum(t.termination_stage for t in traces) / k
                 # stage curve: mean running-best metric per stage, converted
                 # to a rate (the curve the convergence plots report)
-                mean_metrics = mean_stage_curve([t.running_best for t in traces])
+                mean_metrics = mean_stage_curve([t.trace.running_best for t in trials])
                 curve = tuple(rate_from_metric(config, m) for m in mean_metrics)
             entries[n, solver] = SolverAggregate(
                 mean_min_rate=sum(rates) / k,
                 mean_evaluations=sum(t.evaluations for t in trials) / k,
                 mean_active_count=sum(t.activation.active_count for t in trials) / k,
-                mean_termination_stage=term,
                 stage_rates=curve,
             )
     return entries

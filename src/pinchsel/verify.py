@@ -22,7 +22,7 @@ import numpy as np
 from . import vss as vss_mod
 from .baselines import best_singleton, brute_force_select
 from .config import SystemConfig
-from .harness import check_invariants, run_trial, trial_channels
+from .harness import check_invariants, evaluation_bound, run_trial, trial_channels
 from .metric import (
     ActivationVector,
     InvariantError,
@@ -94,7 +94,7 @@ def _oracle_batch(
     gap_sum = 0.0
     max_rel_gap = 0.0
     for B in trial_channels(config, seed, n_trials):
-        results = run_trial(config, B, ("vss", "brute_force"))
+        results = run_trial(B, ("vss", "brute_force"))
         v, b = results["vss"], results["brute_force"]
         matches += v.activation == b.activation
         b_rate, v_rate = (rate_from_metric(config, r.metric) for r in (b, v))
@@ -189,7 +189,7 @@ def check_trellis_invariants(quick: bool, seed: int) -> tuple[bool, str]:
         # walk the trellis manually, validate each stage, and rebuild the
         # result vss_select must return: two independent expansions agree
         walk = Walk(gains, n_bins)
-        stage = root_stage(n_antennas, n_users, n_bins)
+        stage = root_stage(walk)
         evaluations, running_best, survivors = 0, [], []
         best_metric, best_mask = -math.inf, None
         while len(stage):
@@ -224,9 +224,9 @@ def check_complexity_bound(quick: bool, seed: int) -> tuple[bool, str]:
     worst_ratio = 0.0
     for n_antennas, trials in ((50, 10 if quick else 50), (20, 5 if quick else 50)):
         config = SystemConfig(n_antennas=n_antennas, n_users=1)
-        bound = config.phase_bins**config.n_users * n_antennas**2
+        bound = evaluation_bound(config)
         evals[n_antennas] = [
-            run_trial(config, B, ("vss",))["vss"].evaluations
+            run_trial(B, ("vss",))["vss"].evaluations
             for B in trial_channels(config, seed, trials)
         ]
         # run_trial raises above 1, here and in the oracle checks
@@ -249,7 +249,7 @@ _CHECKS: dict[str, Callable[[bool, int], tuple[bool, str]]] = {
 }
 
 
-def run_checks(quick: bool = False, seed: int = 7) -> list[CheckResult]:
+def run_checks(quick: bool, seed: int) -> list[CheckResult]:
     """Run every check; an ``InvariantError`` raised inside one fails it."""
     results = []
     for name, check in _CHECKS.items():

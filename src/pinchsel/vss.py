@@ -81,24 +81,20 @@ def digit_weights(n_bins: int, n_users: int) -> np.ndarray:
     return n_bins ** np.arange(n_users - 1, -1, -1, dtype=np.int64)
 
 
-def bucket_codes(
-    signals: np.ndarray, n_bins: int, weights: "np.ndarray | None" = None
-) -> np.ndarray:
+def bucket_codes(signals: np.ndarray, n_bins: int) -> np.ndarray:
     """Bucket of each row of an (S, M) signal array; a zero signal counts as
     phase 0. Digits come from ``np.arctan2`` and the position
     ``phi * Q / tau + Q / 2``, which is ``quantize_phase``'s formula up to
     rounding; an entry within ``EDGE_TOL * n_bins`` bins of a bin edge (the
     wrap at 0 and Q included) is re-binned by the scalar
     ``quantize_phase(math.atan2(...))``, so the result equals the scalar path
-    even where numpy and libm differ in the last bit. ``weights`` are
-    ``digit_weights(n_bins, M)``, which a trellis walk computes once."""
-    if weights is None:
-        weights = digit_weights(n_bins, signals.shape[1])
-    return _binned(signals, n_bins, weights)[0]
+    even where numpy and libm differ in the last bit."""
+    return _binned(signals, n_bins, digit_weights(n_bins, signals.shape[1]))[0]
 
 
 def _binned(signals: np.ndarray, n_bins: int, weights: np.ndarray) -> "tuple[np.ndarray, bool]":
-    """``bucket_codes``, and whether any entry fell in the edge band."""
+    """``bucket_codes`` with the ``digit_weights`` a trellis walk computes
+    once, and whether any entry fell in the edge band."""
     pos = np.arctan2(signals.imag, signals.real)
     pos *= n_bins / math.tau
     pos += n_bins / 2
@@ -193,10 +189,11 @@ def _best_per_bucket(buckets: np.ndarray, metrics: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def root_stage(n_antennas: int, n_users: int, n_bins: int) -> Stage:
-    """Stage 0: the empty activation as a pure phase reference."""
+def root_stage(walk: Walk) -> Stage:
+    """Stage 0 of ``walk``: the empty activation as a pure phase reference."""
+    n_users, n_antennas = walk.gains.shape
     # a zero signal counts as phase 0 for every user
-    code = quantize_phase(0.0, n_bins) * int(digit_weights(n_bins, n_users).sum())
+    code = quantize_phase(0.0, walk.n_bins) * int(walk.weights.sum())
     return Stage(
         masks=np.zeros((1, n_antennas), dtype=bool),
         signals=np.zeros((1, n_users), dtype=complex),
@@ -217,7 +214,6 @@ def stage_expand(stage: Stage, walk: Walk) -> Stage:
     if not len(stage.metrics):
         raise ValueError("stage must be non-empty")
     active = stage.active + 1
-    n_bins, weights = walk.n_bins, walk.weights
     z = stage.signals + walk.columns  # (antenna, row, user)
     cand = worst_user_metric(z, active)
     # strict improvement gate on inactive antennas (True > False is the only
@@ -230,7 +226,7 @@ def stage_expand(stage: Stage, walk: Walk) -> Stage:
             active,
         )
     signals, metrics = z[antenna, row], cand[antenna, row]
-    screened, banded = _binned(signals, n_bins, weights)
+    screened, banded = _binned(signals, walk.n_bins, walk.weights)
     win = _best_per_bucket(screened, metrics)
     antenna, row, screened = antenna[win], row[win], screened[win]
 
@@ -246,11 +242,7 @@ def stage_expand(stage: Stage, walk: Walk) -> Stage:
         row, screened = row[keep], screened[keep]
     if walk.certified and not banded:  # the rebuild moved no entry out of its bin
         return Stage(masks, signals, metrics, screened, row, active)
-    buckets = bucket_codes(signals, n_bins, weights)
-    if np.logical_and.reduce(buckets == screened):
-        # one row per bucket in ascending order already: the selection below
-        # would return the identity
-        return Stage(masks, signals, metrics, buckets, row, active)
+    buckets = bucket_codes(signals, walk.n_bins)
     win = _best_per_bucket(buckets, metrics)
     return Stage(masks[win], signals[win], metrics[win], buckets[win], row[win], active)
 
@@ -269,7 +261,7 @@ def vss_select(B: "ChannelMatrix | np.ndarray", n_bins: int) -> SolverResult:
     check_block_size(n_antennas, n_bins, n_users)
 
     walk = Walk(gains, n_bins)
-    stage = root_stage(n_antennas, n_users, n_bins)
+    stage = root_stage(walk)
     evaluations = 0
     running_best: list[float] = []
     survivors_per_stage: list[int] = []

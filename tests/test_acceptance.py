@@ -61,19 +61,20 @@ def test_criterion_5_convergence_shape():
     )
     entry = run_sweep(spec)[100, "vss"]  # the sweep run_convergence performs
     curve = entry.stage_rates
-    mean_term = entry.mean_termination_stage
+    # the curve runs to the deepest termination stage, which bounds the mean
+    max_term = len(curve)
     non_decreasing = list(curve) == sorted(curve)
     ratio_25 = curve[24] / curve[-1]
-    ok = non_decreasing and ratio_25 >= 0.99 and mean_term < 100
+    ok = non_decreasing and ratio_25 >= 0.99 and max_term < 100
     _report(
         "criterion 5 (convergence shape, N=100)",
         ok,
         f"non-decreasing: {non_decreasing}, stage-25 at {ratio_25:.4%} of final "
-        f"(>= 99%), mean termination stage {mean_term:.1f} (< 100)",
+        f"(>= 99%), deepest termination stage {max_term} (< 100)",
     )
     assert non_decreasing
     assert ratio_25 >= 0.99
-    assert mean_term < 100
+    assert max_term < 100
 
 
 def test_criterion_6_rate_vs_antenna_trend():

@@ -11,6 +11,7 @@ from pinchsel.baselines import best_singleton, brute_force_select, greedy_pgga_s
 from pinchsel.channel import ChannelMatrix, build_channel_matrix, pa_positions, sample_users
 from pinchsel.config import SystemConfig
 from pinchsel.harness import derive_seed
+from pinchsel.metric import maxmin_metric
 from pinchsel.vss import vss_select
 
 
@@ -307,6 +308,33 @@ def test_channel_matrix_rejects_zero_and_nonfinite():
         ChannelMatrix(gains=np.array([[1.0 + 0j, 0j]]), config_snapshot=cfg)
     with pytest.raises(ValueError):
         ChannelMatrix(gains=np.array([[1.0 + 0j, np.inf + 0j]]), config_snapshot=cfg)
+
+
+def test_channel_matrix_refuses_a_config_of_another_shape():
+    message = r"^gains of shape \(1, 2\) do not match the config's \(M, N\) \(1, 10\)$"
+    with pytest.raises(ValueError, match=message):
+        ChannelMatrix(gains=np.array([[1.0 + 0j, 2.0 + 0j]]), config_snapshot=SystemConfig())
+
+
+@pytest.mark.parametrize(
+    "take",
+    [
+        lambda g: vss_select(g, 4),
+        brute_force_select,
+        greedy_pgga_select,
+        best_singleton,
+        lambda g: maxmin_metric(g, [1, 1]),
+    ],
+    ids=["vss", "brute_force", "pgga", "best_singleton", "maxmin_metric"],
+)
+def test_gains_whose_coherent_power_overflows_refused(take):
+    # 2 (N max|g|)^2 is 8e400 here: the metric would be inf
+    message = r"^gains of modulus up to 1e\+200 at N=2 overflow a coherent power$"
+    with pytest.raises(ValueError, match=message):
+        take(np.array([[1e200, 1.0]]))
+    # 2 (2e150)^2 = 8e300 stays finite, and so does every power
+    result = take(np.array([[1e150, 1e150]]))
+    assert math.isfinite(getattr(result, "metric", result))
 
 
 @pytest.mark.parametrize(

@@ -38,15 +38,15 @@ def test_user_count_runs_share_user_zero():
 
 def test_run_trial_deterministic():
     cfg = SystemConfig(n_antennas=8, n_users=2)
-    a = run_trial(cfg, build_channel_matrix(cfg, sample_users(12345, cfg)), ("vss", "pgga"))
-    b = run_trial(cfg, build_channel_matrix(cfg, sample_users(12345, cfg)), ("vss", "pgga"))
+    a = run_trial(build_channel_matrix(cfg, sample_users(12345, cfg)), ("vss", "pgga"))
+    b = run_trial(build_channel_matrix(cfg, sample_users(12345, cfg)), ("vss", "pgga"))
     assert a == b
 
 
 def test_run_trial_orderings_hold():
     cfg = SystemConfig(n_antennas=10, n_users=1)
     B = build_channel_matrix(cfg, sample_users(99, cfg))
-    results = run_trial(cfg, B, ("vss", "brute_force", "best_singleton"))
+    results = run_trial(B, ("vss", "brute_force", "best_singleton"))
     v = results["vss"]
     b = results["brute_force"]
     s = results["best_singleton"]
@@ -60,8 +60,8 @@ def test_trial_placements_independent_of_solver_set():
     cfg = SystemConfig(n_antennas=9, n_users=1)
     seed = derive_seed(7, 9, 4)
     B = build_channel_matrix(cfg, sample_users(seed, cfg))
-    only_vss = run_trial(cfg, B, ("vss",))
-    both = run_trial(cfg, B, ("vss", "pgga"))
+    only_vss = run_trial(B, ("vss",))
+    both = run_trial(B, ("vss", "pgga"))
     assert only_vss["vss"] == both["vss"]
 
 
@@ -83,7 +83,7 @@ def test_single_trial_aggregate_equals_trial():
     agg = run_sweep(spec)
     cfg = base.with_antennas(5)
     B = build_channel_matrix(cfg, sample_users(derive_seed(11, 5, 0), cfg))
-    res = run_trial(cfg, B, ("vss",))["vss"]
+    res = run_trial(B, ("vss",))["vss"]
     entry = agg[5, "vss"]
     assert entry.mean_min_rate == rate_from_metric(base.with_antennas(5), res.metric)
     assert entry.mean_evaluations == res.evaluations
@@ -178,7 +178,9 @@ def test_mean_termination_below_n_at_fifty_antennas():
         SystemConfig(n_users=1), n_values=(50,), solvers=("vss",), n_trials=40, seed=7
     )
     agg = run_sweep(spec)
-    assert agg[50, "vss"].mean_termination_stage < 50
+    # the stage curve runs to the deepest termination stage, which bounds
+    # the mean from above
+    assert len(agg[50, "vss"].stage_rates) < 50
 
 
 def test_mean_stage_curve_padding():

@@ -103,7 +103,7 @@ class TestStateOf:
     @pytest.mark.parametrize("n_users", [1, 2, 3, 5])
     @pytest.mark.parametrize("n_bins", [1, 2, 3, 4, 8, 16])
     def test_root_code_is_the_zero_signal_bucket(self, n_bins, n_users):
-        root = root_stage(4, n_users, n_bins)
+        root = root_stage(Walk(np.ones((n_users, 4), complex), n_bins))
         assert root.buckets[0] == bucket_codes(np.zeros((1, n_users), complex), n_bins)[0]
 
 
@@ -280,13 +280,13 @@ class TestVssSelect:
 class TestStageExpand:
     def test_empty_improvement_round(self):
         walk = Walk(np.array([[1.0 + 0j, -1.0 + 0j]]), 4)
-        stage1 = stage_expand(root_stage(2, 1, 4), walk)
+        stage1 = stage_expand(root_stage(walk), walk)
         assert len(stage1) == 2  # phases 0 and pi land in different bins
         assert len(stage_expand(stage1, walk)) == 0
 
     def test_single_improving_extension(self):
         walk = Walk(np.array([[1.0 + 0j, 1.0 + 0j]]), 4)
-        stage1 = stage_expand(root_stage(2, 1, 4), walk)
+        stage1 = stage_expand(root_stage(walk), walk)
         # the two singletons tie and share a bucket; the incumbent (antenna 0) stays
         assert len(stage1) == 1
         assert stage1.masks.tolist() == [[True, False]]
@@ -298,7 +298,7 @@ class TestStageExpand:
 
     def test_rejects_empty_table(self):
         walk = Walk(np.array([[1.0 + 0j, -1.0 + 0j]]), 4)
-        terminal = stage_expand(stage_expand(root_stage(2, 1, 4), walk), walk)
+        terminal = stage_expand(stage_expand(root_stage(walk), walk), walk)
         with pytest.raises(ValueError):
             stage_expand(terminal, walk)
 
@@ -306,8 +306,8 @@ class TestStageExpand:
         cfg = SystemConfig(n_antennas=12, n_users=2)
         B = build_channel_matrix(cfg, sample_users(555, cfg))
         n_bins = 4
-        stage = root_stage(12, 2, n_bins)
         walk = Walk(B.gains, n_bins)
+        stage = root_stage(walk)
         for _ in range(12):
             expanded = stage_expand(stage, walk)
             oracle = self._naive_expand(stage, B.gains, n_bins)
@@ -350,8 +350,8 @@ class TestTrellisInvariants:
             n_users = int(rng.integers(1, 3))
             n_bins = int(rng.choice([1, 2, 4, 8]))
             gains = _random_gains(int(rng.integers(0, 2**31)), n_users, n_antennas)
-            stage = root_stage(n_antennas, n_users, n_bins)
             walk = Walk(gains, n_bins)
+            stage = root_stage(walk)
             while len(stage):
                 nxt = stage_expand(stage, walk)
                 assert stage_problems(stage, nxt, gains, n_bins) == []
@@ -360,7 +360,7 @@ class TestTrellisInvariants:
     def test_nudged_stored_signal_is_reported(self):
         gains = _random_gains(5, 2, 8)
         walk = Walk(gains, 4)
-        stage = stage_expand(root_stage(8, 2, 4), walk)
+        stage = stage_expand(root_stage(walk), walk)
         nxt = stage_expand(stage, walk)
         assert stage_problems(stage, nxt, gains, 4) == []
         # a relative 1e-6 on one stored signal; its metric and bucket stay
@@ -653,10 +653,10 @@ def test_lattice_fingerprints():
 
 
 class TestCanonicalBucketFallback:
-    """stage_expand's second per-bucket selection, for when a canonical
-    bucket differs from the screened one (the benchmark channels never take
-    it). It runs from stage 3 on, in an uncertified walk or after a screened
-    entry fell in the edge band."""
+    """stage_expand's second per-bucket selection, over the canonical
+    buckets. It runs from stage 3 on, in an uncertified walk or after a
+    screened entry fell in the edge band; here a canonical bucket differs
+    from the screened one, which no benchmark channel has shown."""
 
     @staticmethod
     def _merge_canonical(monkeypatch, merge):
@@ -664,8 +664,8 @@ class TestCanonicalBucketFallback:
         # rebuild through vss.bucket_codes
         real = vss.bucket_codes
 
-        def patched(signals, n_bins, weights):
-            return merge(real(signals, n_bins, weights))
+        def patched(signals, n_bins):
+            return merge(real(signals, n_bins))
 
         monkeypatch.setattr(vss, "bucket_codes", patched)
 
@@ -673,7 +673,7 @@ class TestCanonicalBucketFallback:
         gains = _random_gains(21, 2, 9)
         walk = Walk(gains, 4)
         walk.certified = False
-        stage = stage_expand(stage_expand(root_stage(9, 2, 4), walk), walk)
+        stage = stage_expand(stage_expand(root_stage(walk), walk), walk)
         plain = stage_expand(stage, walk)
         assert len(plain) > 4
         self._merge_canonical(monkeypatch, lambda codes: codes // 3)
@@ -724,8 +724,7 @@ def _signed_zero_instances(count, seed):
 
 def _walk_stages(walk):
     """Every stage after the root of a full walk, as vss_select takes them."""
-    n_users, n_antennas = walk.gains.shape
-    stage = stage_expand(root_stage(n_antennas, n_users, walk.n_bins), walk)
+    stage = stage_expand(root_stage(walk), walk)
     while len(stage):
         yield stage
         stage = stage_expand(stage, walk)
