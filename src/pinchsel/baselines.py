@@ -7,10 +7,15 @@ constant within each of its popcount groups. A first pass scores
 ``_SCREEN_ROWS`` high subsets at a time against the whole low table as one
 (rows, 2^_LOW_BITS) block, so every one of the 2^N - 1 non-empty masks is
 screened without a per-subset Python step and without an array of 2^N
-entries. It takes each group's maximum and divides only those by their counts:
-dividing by a positive count is monotone under rounding, so each row's maximum
-is exactly that of its divided entries. A second pass recomputes only the
-rows that reach the near-maximal floor, maps their entries back through the
+entries. Each user's block is one matrix product: the low table holds the
+rows [Re L, Im L, |L|^2, 1] and the high table [2 Re H, 2 Im H, 1, |H|^2],
+whose product is |L + H|^2. It takes each group's maximum and divides only
+those by their counts: dividing by a positive count is monotone under
+rounding, so each row's maximum is exactly that of its divided entries. The
+near-maximal floor is relative, less twice ``_screen_bound``, an absolute
+bound on how far the product rounds from the direct sum (L + H) squared, so
+it keeps every mask that the direct sums keep. A second pass recomputes only
+the rows that reach the floor, maps their entries back through the
 popcount order and rescores their masks one row at a time, grouped by active
 count, with the shared kernel ``metric.worst_user_metric`` on the canonical
 gather-sum ``metric.mask_signals``, ``_RESCORE_ROWS`` masks at once. The
@@ -59,7 +64,9 @@ BRUTE_FORCE_CAP = 24
 _LOW_BITS = 12
 
 # Relative slack used to shortlist near-maximal masks from the screening sums;
-# generously wider than any rounding their addition order can introduce.
+# generously wider than any rounding their addition order can introduce. Under
+# cancellation the product screen rounds further, which the floor's absolute
+# term, twice ``_screen_bound``, covers.
 _SHORTLIST_RTOL = 1e-9
 
 # Shortlisted masks gathered at once when rescoring: keeps the (M, rows,
@@ -114,6 +121,60 @@ def _subset_table(columns: np.ndarray) -> np.ndarray:
     return table
 
 
+def _screen_tables(
+    gains: np.ndarray, k: int, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The split tables of the screen, from the subset sums L of the low k
+    antennas (in ``order``) and H of the rest: low[m] is (4, 2^k) with rows
+    [Re L, Im L, |L|^2, 1] and high[m] is (2^(N-k), 4) with rows
+    [2 Re H, 2 Im H, 1, |H|^2], so that high[m, h] @ low[m] is user m's
+    |L + H|^2 = 2 Re H Re L + 2 Im H Im L + |L|^2 + |H|^2 for every low
+    subset. The parts of a complex subset sum are the subset sums of the
+    parts, bit for bit, so the low sums are built as two real tables."""
+    head = gains[:, :k]
+    re, im = (np.take(_subset_table(part), order, axis=1) for part in (head.real, head.imag))
+    low = np.stack([re, im, re * re + im * im, np.ones_like(re)], axis=1)
+    high = _subset_table(gains[:, k:])
+    re, im = high.real, high.imag
+    high = np.stack([2.0 * re, 2.0 * im, np.ones_like(re), re * re + im * im], axis=-1)
+    return low, high
+
+
+def _screen_bound(gains: np.ndarray) -> float:
+    """delta = 2^-48 K + 2^-1064, with K = max_m (sum_n |Re g_mn|)^2 +
+    (sum_n |Im g_mn|)^2: a bound on |P - D|, for every mask and user, between
+    the product P = high[m, h] @ low[m] of ``_screen_tables`` and the direct
+    D = (Re L + Re H)^2 + (Im L + Im H)^2 of the same subset sums. The floor
+    best (1 - _SHORTLIST_RTOL) - 2 delta then admits every mask that
+    best (1 - _SHORTLIST_RTOL) admits over the direct scores.
+
+    With u = 2^-53 and gamma_n = n u / (1 - n u), up to factors 1 + O(N u):
+    1. Each part of a subset sum is at most its column sum, so T = |L + H|^2
+       and Z = (|Re L| + |Re H|)^2 + (|Im L| + |Im H|)^2 are at most K.
+    2. D rounds each of its two terms four times: |D - T| <= gamma_4 Z.
+    3. P is a four-term inner product. In any summation order, fused or not,
+       whether a block of rows or one row alone, it lies within
+       gamma_4 (1 + gamma_2) Z of the exact sum of its terms, which lies
+       within gamma_2 Z of T: doubling is exact, and only |L|^2 and |H|^2
+       are rounded, twice each.
+    4. So |P - D| <= (2 gamma_4 + gamma_2 + gamma_2 gamma_4) Z < 11 u K, and
+       so is the worst user's. Fewer than 32 roundings, of at most 2^-1075
+       each where a result is subnormal, add under 2^-1070.
+    5. A score is fl(W / c) with W the worst-user power, |W| <= K, and c >= 1
+       its count. Rounding both divisions moves a mask's score, and so the
+       best score, by e < 14 u K + 2^-1069.
+    6. The old floor is fl(rho best_old), rho = fl(1 - _SHORTLIST_RTOL). The
+       new one, fl(fl(rho best) - 2 delta), is at most the old one plus
+       e + 3 u K + 2^-1073 - 2 delta (1 - u), so it lies below the old one
+       minus e: 2 delta (1 - u) ~ 64 u K + 2^-1063 is more than twice
+       2e + 3 u K + 2^-1073. A mask at or above the old floor therefore
+       scores at least the new floor, in the first pass (so its row is kept)
+       and when its row is recomputed alone.
+    """
+    re, im = np.add.reduce(np.abs(gains.real), axis=1), np.add.reduce(np.abs(gains.imag), axis=1)
+    return 2.0**-48 * float(np.max(re * re + im * im)) + 2.0**-1064
+
+
 def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     """Enumerate every non-empty activation and return the max-min optimum."""
     gains = as_gains(B)
@@ -128,18 +189,13 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
 
     # mask = low | high << k. The low table is held in popcount order, so the
     # active count is constant within each of its k + 1 groups, which begin
-    # at ``starts``; ``order`` maps a position back to its low subset. The
-    # parts of a complex subset sum are the subset sums of the parts, bit for
-    # bit, so the low table is built as two real tables; ``np.take`` keeps
-    # each user's row contiguous, which ``table[:, order]`` does not.
+    # at ``starts``; ``order`` maps a position back to its low subset.
     k = min(n_antennas, _LOW_BITS)
     low_count = _subset_table(np.ones((1, k), dtype=np.uint8))[0]
     order = np.argsort(low_count, kind="stable")
     low_count = low_count[order]
     starts = np.searchsorted(low_count, np.arange(k + 1))
-    low_re = np.take(_subset_table(gains[:, :k].real), order, axis=1)
-    low_im = np.take(_subset_table(gains[:, :k].imag), order, axis=1)
-    high = _subset_table(gains[:, k:])
+    low, high = _screen_tables(gains, k, order)
     n_high = high.shape[1]
     # counts[h, c]: the active count of high row h with low popcount c (at
     # most BRUTE_FORCE_CAP, so uint8 holds it)
@@ -147,25 +203,20 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
     counts = high_count[:, None] + np.arange(k + 1, dtype=np.uint8)
     counts[0, 0] = 1  # the empty mask, which scores -inf
     shape = (min(_SCREEN_ROWS, n_high), 1 << k)
-    worst, im = np.empty(shape), np.empty(shape)
-    re = np.empty(shape) if n_users > 1 else None
+    worst = np.empty(shape)
+    power = np.empty(shape) if n_users > 1 else None
 
     def screen(h0: int, h1: int) -> np.ndarray:
-        """Worst-user power of high rows h0 .. h1 - 1 with every low subset.
-        User 0's power is written straight into the result: no power is NaN,
-        so that equals its minimum with +inf, and one user needs no third
-        buffer."""
-        w, i = worst[: h1 - h0], im[: h1 - h0]
+        """Worst-user power of high rows h0 .. h1 - 1 with every low subset,
+        one matrix product per user. User 0's power is written straight into
+        the result: no power is NaN, so that equals its minimum with +inf,
+        and one user needs no second buffer."""
+        w = worst[: h1 - h0]
         for m in range(n_users):
-            r = re[: h1 - h0] if m else w
-            z = high[m, h0:h1, None]
-            np.add(low_re[m], z.real, out=r)
-            np.add(low_im[m], z.imag, out=i)
-            np.multiply(r, r, out=r)
-            np.multiply(i, i, out=i)
-            np.add(r, i, out=r)
+            p = power[: h1 - h0] if m else w
+            np.matmul(high[m, h0:h1], low[m], out=p)
             if m:
-                np.minimum(w, r, out=w)
+                np.minimum(w, p, out=w)
         if h0 == 0:  # the empty mask: never a candidate
             w[0, 0] = -math.inf
         return w
@@ -179,7 +230,7 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
         group_max = np.maximum.reduceat(screen(h0, h1), starts, axis=1)
         np.divide(group_max, counts[h0:h1], out=group_max)
         np.maximum.reduce(group_max, axis=1, out=row_max[h0:h1])
-    floor = row_max.max() * (1.0 - _SHORTLIST_RTOL)
+    floor = row_max.max() * (1.0 - _SHORTLIST_RTOL) - 2.0 * _screen_bound(gains)
 
     # rescore the near-maximal masks row by row with the shared kernel, one
     # popcount group at a time; exact ties go to fewer antennas, then to the

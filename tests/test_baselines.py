@@ -98,6 +98,16 @@ def _tie_lattice(n_users, n_base, seed):
     return base[:, rng.integers(0, n_base, 14)]
 
 
+def _cancelling_gains(seed, n_users, n_antennas, scale):
+    """Rows of +-scale plus unit complex noise: many subset sums cancel to
+    the noise level, far below the column sums that bound the screen's
+    rounding."""
+    rng = np.random.default_rng([seed, n_users, n_antennas])
+    shape = (n_users, n_antennas)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return scale * rng.choice([-1.0, 1.0], shape) + noise
+
+
 class TestNaiveReference:
     """``_brute_force_naive`` pinned to the per-mask ``maxmin_metric`` scan:
     every mask's metric, bit for bit, and the answer."""
@@ -134,6 +144,11 @@ class TestNaiveReference:
     )
     def test_every_mask_on_exact_ties(self, B):
         self._assert_pinned(B)
+
+    @pytest.mark.parametrize("n_users", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e3, 1e9])
+    def test_every_mask_on_cancelling_gains(self, scale, n_users):
+        self._assert_pinned(_cancelling_gains(8, n_users, 9, scale))
 
 
 # brute_force_select fingerprints recorded from the Gray-code walk the split
@@ -298,6 +313,30 @@ class TestBruteForce:
             assert fast.metric == slow.metric
             assert fast.activation == slow.activation
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+    def test_matches_naive_on_cancelling_gains(self, scale):
+        # sums that cancel are where the product screen rounds differently
+        # from the direct sums
+        for n_users, n_antennas in [(1, 13), (2, 14), (3, 12)]:
+            B = _cancelling_gains(n_antennas, n_users, n_antennas, scale)
+            fast = brute_force_select(B)
+            slow = _brute_force_naive(B)
+            assert fast.metric == slow.metric
+            assert fast.activation == slow.activation
+
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    def test_optimum_whose_worst_user_cancels_across_the_split(self, scale):
+        # user j < 13 hears antenna j alone, so every mask but the full one
+        # leaves some user at exactly 0. On the full mask the last user's low
+        # and high sums, scale + 11 and -scale, cancel to 11, which the
+        # product screen may round far from 121: only the floor's absolute
+        # term keeps the optimum on the shortlist
+        last = np.ones(13)
+        last[0], last[12] = scale, -scale
+        res = brute_force_select(np.vstack([scale * np.eye(13), last]))
+        assert res.metric == 121 / 13
+        assert res.activation.active_count == 13
+
     @pytest.mark.parametrize("n_antennas", [12, 13, 14, 15])
     def test_screening_blocks_match_naive(self, n_antennas):
         # 1, 2, 4 and 8 high rows: a single partial block, a whole block and
@@ -405,6 +444,60 @@ class TestBruteForce:
                 for mask in range(1, 1 << 10)
             )
             assert res.metric == pytest.approx(literal_best, rel=1e-12)
+
+
+def _popcount_order(k):
+    return np.argsort([bin(s).count("1") for s in range(1 << k)], kind="stable")
+
+
+def _direct_screen(gains):
+    """Reference for the product screen: the direct screen it replaced,
+    (Re L + Re H)^2 + (Im L + Im H)^2 of the same subset sums, for every
+    user, high row and low subset in popcount order."""
+    k = min(gains.shape[1], baselines._LOW_BITS)
+    low_re, low_im = (
+        np.take(baselines._subset_table(part), _popcount_order(k), axis=1)
+        for part in (gains[:, :k].real, gains[:, :k].imag)
+    )
+    high = baselines._subset_table(gains[:, k:])
+    re = low_re[:, None, :] + high.real[:, :, None]
+    im = low_im[:, None, :] + high.imag[:, :, None]
+    return re * re + im * im
+
+
+def _product_screens(gains):
+    """Every user's product screen as ``brute_force_select`` computes it: by
+    blocks of ``_SCREEN_ROWS`` high rows, and one row alone as its second
+    pass does."""
+    k = min(gains.shape[1], baselines._LOW_BITS)
+    low, high = baselines._screen_tables(gains, k, _popcount_order(k))
+    n_users, n_high = high.shape[:2]
+    blocks, rows = np.empty((2, n_users, n_high, 1 << k))
+    for m in range(n_users):
+        for h0 in range(0, n_high, baselines._SCREEN_ROWS):
+            h1 = min(h0 + baselines._SCREEN_ROWS, n_high)
+            np.matmul(high[m, h0:h1], low[m], out=blocks[m, h0:h1])
+        for h in range(n_high):
+            np.matmul(high[m, h : h + 1], low[m], out=rows[m, h : h + 1])
+    return blocks, rows
+
+
+@pytest.mark.parametrize("n_antennas", [12, 13, 14, 15])
+@pytest.mark.parametrize("kind", ["random", "lattice", 1e3, 1e9])
+def test_product_screen_stays_within_its_bound(kind, n_antennas):
+    # every mask and user across the split: 1, 2, 4 and 8 high rows make a
+    # partial block, a whole one and two
+    for n_users in (1, 2, 3):
+        if kind == "random":
+            B = _random_gains(40 * n_antennas + n_users, n_users, n_antennas)
+        elif kind == "lattice":
+            B = _parity_gains("lattice", n_antennas, n_users, 0)
+        else:
+            B = _cancelling_gains(n_antennas, n_users, n_antennas, kind)
+        direct = _direct_screen(B)
+        delta = baselines._screen_bound(B)
+        for product in _product_screens(B):
+            assert np.abs(product - direct).max() <= delta, n_users
 
 
 class TestBestSingleton:
