@@ -12,22 +12,22 @@ rows [Re L, Im L, |L|^2, 1] and the high table [2 Re H, 2 Im H, 1, |H|^2],
 whose product is |L + H|^2. It takes each group's maximum and divides only
 those by their counts: dividing by a positive count is monotone under
 rounding, so each row's maximum is exactly that of its divided entries. The
-near-maximal floor is relative, less twice ``_screen_bound``, an absolute
-bound on how far the product rounds from the direct sum (L + H) squared, so
-it keeps every mask that the direct sums keep. A second pass recomputes only
-the rows that reach the floor, maps their entries back through the
-popcount order and rescores their masks one row at a time, grouped by active
-count, with the shared kernel ``metric.worst_user_metric`` on the canonical
-gather-sum ``metric.mask_signals``, ``_RESCORE_ROWS`` masks at once. The
-screening sums never become the answer and no more than one row of candidates
-is held: the reported optimum is bit-identical to ``maxmin_metric`` and
-directly comparable with the trellis solver's output. A user whose gains are
-all zero makes every mask score 0, and the tie key alone picks the answer
-without a search. It refuses arrays larger than ``BRUTE_FORCE_CAP`` (24)
-antennas before any work, with a message that states the subset count and the
-working-memory bound, and so too a user count whose working memory would
-exceed 256 MiB. The tests validate it against a naive rescorer that
-scores every subset from scratch.
+near-maximal floor is the best screening score less twice ``_screen_bound``,
+a bound on how far any mask's screening score lies from its canonical score,
+so every mask tied at the canonical optimum reaches it. A second pass
+recomputes only the rows that reach the floor, maps their entries back
+through the popcount order and rescores their masks one row at a time,
+grouped by active count, with the shared kernel ``metric.worst_user_metric``
+on the canonical gather-sum ``metric.mask_signals``, ``_RESCORE_ROWS`` masks
+at once. The screening sums never become the answer and no more than one row
+of candidates is held: the reported optimum is bit-identical to
+``maxmin_metric`` and directly comparable with the trellis solver's output. A
+user whose gains are all zero makes every mask score 0, and the tie key alone
+picks the answer without a search. It refuses arrays larger than
+``BRUTE_FORCE_CAP`` (24) antennas before any work, with a message that states
+the subset count and the working-memory bound, and so too a user count whose
+working memory would exceed 256 MiB. The tests validate it against a naive
+rescorer that scores every subset from scratch.
 
 ``best_singleton`` scores every column at once with the shared kernel
 ``metric.worst_user_metric`` and takes the first maximum.
@@ -62,12 +62,6 @@ BRUTE_FORCE_CAP = 24
 
 # Antennas in the low split table; one screening row covers 2^_LOW_BITS masks.
 _LOW_BITS = 12
-
-# Relative slack used to shortlist near-maximal masks from the screening sums;
-# generously wider than any rounding their addition order can introduce. Under
-# cancellation the product screen rounds further, which the floor's absolute
-# term, twice ``_screen_bound``, covers.
-_SHORTLIST_RTOL = 1e-9
 
 # Shortlisted masks gathered at once when rescoring: keeps the (M, rows,
 # active) gather of a many-way tie well inside the working-memory bound.
@@ -141,38 +135,43 @@ def _screen_tables(
 
 
 def _screen_bound(gains: np.ndarray) -> float:
-    """delta = 2^-48 K + 2^-1064, with K = max_m (sum_n |Re g_mn|)^2 +
-    (sum_n |Im g_mn|)^2: a bound on |P - D|, for every mask and user, between
-    the product P = high[m, h] @ low[m] of ``_screen_tables`` and the direct
-    D = (Re L + Re H)^2 + (Im L + Im H)^2 of the same subset sums. The floor
-    best (1 - _SHORTLIST_RTOL) - 2 delta then admits every mask that
-    best (1 - _SHORTLIST_RTOL) admits over the direct scores.
+    """Delta = (4N + 8) u K + 2^-1070, with u = 2^-53 and K = max_m
+    (sum_n |Re g_mn|)^2 + (sum_n |Im g_mn|)^2: a bound, for every non-empty
+    mask, on |s - t| between its screening score s (from a block of rows or
+    from its row alone) and its canonical score t, ``worst_user_metric`` of
+    ``mask_signals``, which is ``maxmin_metric``. If t* is the optimum, the
+    best screening score is at most t* + Delta and every mask scoring t*
+    screens at t* - Delta or more, so the floor best - 2 Delta keeps them all
+    and the tie key picks the mask exhaustive canonical scoring would.
 
-    With u = 2^-53 and gamma_n = n u / (1 - n u), up to factors 1 + O(N u):
-    1. Each part of a subset sum is at most its column sum, so T = |L + H|^2
-       and Z = (|Re L| + |Re H|)^2 + (|Im L| + |Im H|)^2 are at most K.
-    2. D rounds each of its two terms four times: |D - T| <= gamma_4 Z.
-    3. P is a four-term inner product. In any summation order, fused or not,
-       whether a block of rows or one row alone, it lies within
-       gamma_4 (1 + gamma_2) Z of the exact sum of its terms, which lies
-       within gamma_2 Z of T: doubling is exact, and only |L|^2 and |H|^2
-       are rounded, twice each.
-    4. So |P - D| <= (2 gamma_4 + gamma_2 + gamma_2 gamma_4) Z < 11 u K, and
-       so is the worst user's. Fewer than 32 roundings, of at most 2^-1075
-       each where a result is subnormal, add under 2^-1070.
-    5. A score is fl(W / c) with W the worst-user power, |W| <= K, and c >= 1
-       its count. Rounding both divisions moves a mask's score, and so the
-       best score, by e < 14 u K + 2^-1069.
-    6. The old floor is fl(rho best_old), rho = fl(1 - _SHORTLIST_RTOL). The
-       new one, fl(fl(rho best) - 2 delta), is at most the old one plus
-       e + 3 u K + 2^-1073 - 2 delta (1 - u), so it lies below the old one
-       minus e: 2 delta (1 - u) ~ 64 u K + 2^-1063 is more than twice
-       2e + 3 u K + 2^-1073. A mask at or above the old floor therefore
-       scores at least the new floor, in the first pass (so its row is kept)
-       and when its row is recomputed alone.
+    Fix a user and a mask of c antennas. Let x be the exact real part of its
+    signal and a the sum of |Re g| over the mask; y and b likewise for the
+    imaginary part, so a^2 + b^2 <= K. With gamma_n = n u / (1 - n u), to
+    first order in N u (the rest adds under u K for N below 2^20):
+    1. ``_subset_table`` adds a subset's columns one at a time to 0, so the low
+       and high sums lie within gamma_{k-1} and gamma_{N-k-1} times their
+       column sums of exact, and the screen's x_s = Re L + Re H within
+       gamma_{N-1} a of x. The canonical gather adds c <= N terms in some
+       order, so its x_c lies within gamma_{N-1} a of x too.
+    2. So |x_s^2 + y_s^2 - x_c^2 - y_c^2| <= 4 gamma_{N-1} K = 4 (N - 1) u K.
+    3. P = high[m, h] @ low[m] is a four-term inner product. In any summation
+       order, fused or not, in a block of rows or one row alone, it lies within
+       gamma_4 (1 + gamma_2) K of the exact sum of its terms, which lies within
+       gamma_2 K of x_s^2 + y_s^2: doubling is exact, and only |L|^2 and |H|^2
+       are rounded, twice each. That is 6 u K.
+    4. The canonical power fl(fl(x_c^2) + fl(y_c^2)) lies within gamma_2 K,
+       2 u K, of x_c^2 + y_c^2. So each user's two powers, and the worst
+       users', differ by at most (4N + 4) u K; dividing by c >= 1 adds 2 u K.
+    5. Below the normal range a product or quotient may err by 2^-1075 more,
+       and a sum or difference is exact. A pair of scores takes ten such steps
+       (four table squares, two inner-product terms, two canonical squares, two
+       divisions) and Delta one: under 2^-1071.
+    6. Rounding fl(best - 2 Delta) raises the floor by at most u K. So Delta
+       needs (4N + 6.5) u K + 2^-1071, and keeps 1.5 u K and 2^-1071 for the
+       terms dropped above.
     """
     re, im = np.add.reduce(np.abs(gains.real), axis=1), np.add.reduce(np.abs(gains.imag), axis=1)
-    return 2.0**-48 * float(np.max(re * re + im * im)) + 2.0**-1064
+    return (4 * gains.shape[1] + 8) * 2.0**-53 * float(np.max(re * re + im * im)) + 2.0**-1070
 
 
 def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
@@ -222,15 +221,14 @@ def brute_force_select(B: "ChannelMatrix | np.ndarray") -> SolverResult:
         return w
 
     # first pass, a block of rows at a time: each popcount group's maximum
-    # over its one count. Dividing by a positive count is monotone under
-    # rounding, so every row maximum equals that of the divided row.
+    # over its one count; the division is monotone, so row maxima are exact
     row_max = np.empty(n_high)
     for h0 in range(0, n_high, shape[0]):
         h1 = min(h0 + shape[0], n_high)
         group_max = np.maximum.reduceat(screen(h0, h1), starts, axis=1)
         np.divide(group_max, counts[h0:h1], out=group_max)
         np.maximum.reduce(group_max, axis=1, out=row_max[h0:h1])
-    floor = row_max.max() * (1.0 - _SHORTLIST_RTOL) - 2.0 * _screen_bound(gains)
+    floor = row_max.max() - 2.0 * _screen_bound(gains)
 
     # rescore the near-maximal masks row by row with the shared kernel, one
     # popcount group at a time; exact ties go to fewer antennas, then to the

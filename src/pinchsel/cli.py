@@ -36,7 +36,7 @@ def parse_n_values(text: str) -> tuple[int, ...]:
     """Parse ``--n``: a single value, a comma list, or ``a..b:step`` ranges.
 
     Repeated counts are dropped, keeping the order of first appearance."""
-    values: list[int] = []
+    ranges: list[range] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -60,8 +60,10 @@ def parse_n_values(text: str) -> tuple[int, ...]:
             raise ValueError(
                 f"antenna-count token {token!r} exceeds the limit of {MAX_BLOCK_ENTRIES} antennas"
             )
-        values.extend(range(lo, hi + 1, step))
-    return tuple(dict.fromkeys(values))
+        ranges.append(range(lo, hi + 1, step))
+    if sum(map(len, ranges)) > MAX_BLOCK_ENTRIES:  # so is the count, repeats included
+        raise ValueError(f"antenna-count list {text!r} has more than {MAX_BLOCK_ENTRIES} values")
+    return tuple(dict.fromkeys(n for values in ranges for n in values))
 
 
 def parse_solvers(text: str) -> tuple[str, ...]:

@@ -17,7 +17,13 @@ from pinchsel.baselines import (
 from pinchsel.channel import build_channel_matrix, sample_users
 from pinchsel.config import SystemConfig
 from pinchsel.harness import ExperimentSpec, derive_seed
-from pinchsel.metric import ActivationVector, SolverResult, maxmin_metric
+from pinchsel.metric import (
+    ActivationVector,
+    SolverResult,
+    mask_signals,
+    maxmin_metric,
+    worst_user_metric,
+)
 from pinchsel.vss import vss_select
 
 
@@ -450,19 +456,24 @@ def _popcount_order(k):
     return np.argsort([bin(s).count("1") for s in range(1 << k)], kind="stable")
 
 
-def _direct_screen(gains):
-    """Reference for the product screen: the direct screen it replaced,
-    (Re L + Re H)^2 + (Im L + Im H)^2 of the same subset sums, for every
-    user, high row and low subset in popcount order."""
-    k = min(gains.shape[1], baselines._LOW_BITS)
-    low_re, low_im = (
-        np.take(baselines._subset_table(part), _popcount_order(k), axis=1)
-        for part in (gains[:, :k].real, gains[:, :k].imag)
-    )
-    high = baselines._subset_table(gains[:, k:])
-    re = low_re[:, None, :] + high.real[:, :, None]
-    im = low_im[:, None, :] + high.imag[:, :, None]
-    return re * re + im * im
+def _canonical_powers(gains):
+    """Reference for the product screen: every user's canonical power,
+    ``worst_user_metric`` of that user's ``mask_signals`` column, laid out as
+    the screen is (user, high row, low subset in popcount order), with each
+    mask's active count; the empty mask has power 0 and count 1."""
+    n_users, n_antennas = gains.shape
+    k = min(n_antennas, baselines._LOW_BITS)
+    high = np.arange(1 << (n_antennas - k))[:, None] << k
+    masks = (_popcount_order(k) | high).ravel()
+    bits = (masks[:, None] >> np.arange(n_antennas)) & 1 == 1
+    counts = bits.sum(axis=1)
+    powers = np.zeros((len(masks), n_users))
+    for c in range(1, n_antennas + 1):
+        rows = counts == c
+        powers[rows] = worst_user_metric(mask_signals(gains, bits[rows], c)[:, :, None], 1)
+    counts[0] = 1
+    shape = (len(high), 1 << k)
+    return powers.T.reshape(n_users, *shape), counts.reshape(shape)
 
 
 def _product_screens(gains):
@@ -482,11 +493,12 @@ def _product_screens(gains):
     return blocks, rows
 
 
-@pytest.mark.parametrize("n_antennas", [12, 13, 14, 15])
-@pytest.mark.parametrize("kind", ["random", "lattice", 1e3, 1e9])
+@pytest.mark.parametrize("n_antennas", [12, 13, 14, 15, 16])
+@pytest.mark.parametrize("kind", ["random", "lattice", 1e3, 1e9, 1e12])
 def test_product_screen_stays_within_its_bound(kind, n_antennas):
-    # every mask and user across the split: 1, 2, 4 and 8 high rows make a
-    # partial block, a whole one and two
+    # every mask and user across the split, block and single-row products
+    # against the canonical sums: 1 to 16 high rows make a partial block, a
+    # whole one and several; the floor rests on the scores' distance
     for n_users in (1, 2, 3):
         if kind == "random":
             B = _random_gains(40 * n_antennas + n_users, n_users, n_antennas)
@@ -494,10 +506,12 @@ def test_product_screen_stays_within_its_bound(kind, n_antennas):
             B = _parity_gains("lattice", n_antennas, n_users, 0)
         else:
             B = _cancelling_gains(n_antennas, n_users, n_antennas, kind)
-        direct = _direct_screen(B)
+        canonical, counts = _canonical_powers(B)
+        scores = canonical.min(axis=0) / counts
         delta = baselines._screen_bound(B)
         for product in _product_screens(B):
-            assert np.abs(product - direct).max() <= delta, n_users
+            assert np.abs(product - canonical).max() <= delta, n_users
+            assert np.abs(product.min(axis=0) / counts - scores).max() <= delta, n_users
 
 
 class TestBestSingleton:

@@ -4,13 +4,14 @@ import csv
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pinchsel.vss
-from pinchsel import harness, verify
+from pinchsel import cli, harness, verify
 from pinchsel.cli import (
     _OPTIONS, _resolve, build_parser, header_line, main, parse_n_values, parse_solvers,
     system_config,
@@ -65,6 +66,25 @@ class TestParsing:
 
     def test_repeats_dropped_in_first_appearance_order(self):
         assert parse_n_values("6,4,6,3..7:2,4") == (6, 4, 3, 5, 7)
+
+    def test_value_count_is_refused_before_the_list_is_built(self):
+        # every value is within the per-value limit; the two tokens hold
+        # 2^25 of them, gigabytes once built as a list and deduplicated
+        text = f"1..{2**24},1..{2**24}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"has more than {2**24} values"):
+                parse_n_values(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_value_count_counts_repeats(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_BLOCK_ENTRIES", 4)
+        assert parse_n_values("1..2,3..4") == (1, 2, 3, 4)
+        with pytest.raises(ValueError, match="'1..2,2..3,3' has more than 4 values"):
+            parse_n_values("1..2,2..3,3")
 
     def test_solver_aliases(self):
         assert parse_solvers("vss,brute") == ("vss", "brute_force")
